@@ -27,31 +27,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _build_law(section):
-    kind = section.get("law")
-    if kind == "brauer":
-        params = materials.brauer_build(
-            k1=section.getfloat("k1", 3.8),
-            k2=section.getfloat("k2", 2.17),
-            k3=section.getfloat("k3", 396.2),
-            nu0=section.getfloat("nu0", materials.NU0),
-        )
-        return materials.BrauerLaw(params)
-    if kind == "linear":
-        return materials.LinearIsotropic(section.getfloat("nu", materials.NU0))
-    if kind == "permanent_magnet":
-        return materials.PermanentMagnet(
-            section.getfloat("nu0", materials.NU0),
-            (section.getfloat("mx", 0.0), section.getfloat("my", 0.0)),
-        )
-    if kind == "anisotropic":
-        n11 = section.getfloat("n11")
-        n12 = section.getfloat("n12", 0.0)
-        n22 = section.getfloat("n22")
-        return materials.AnisotropicLinear([[n11, n12], [n12, n22]])
-    raise ConfigError(f"unknown material law {kind!r}")
-
-
 def _build_map(section):
     name = section.get("name", "identity")
     if name == "identity":
@@ -118,7 +93,8 @@ def read_problem_config(path, mesh_file=None):
     for name in parser.sections():
         if name.startswith("material."):
             region = int(name.split(".", 1)[1])
-            law = _build_law(parser[name])
+            section = parser[name]
+            law = materials.build_law(section.get("law"), section)
             if domain_map is not None:
                 law = geometry.pullback_material(domain_map, law)
             laws[region] = law
@@ -231,14 +207,9 @@ def _cmd_material_check(args):
         key, value = item.split("=", 1)
         params[key] = float(value)
 
+    law = materials.build_law(args.material, params)
     if args.material == "brauer":
-        bp = materials.brauer_build(
-            k1=params.get("k1", 3.8),
-            k2=params.get("k2", 2.17),
-            k3=params.get("k3", 396.2),
-            nu0=params.get("nu0", materials.NU0),
-        )
-        law = materials.BrauerLaw(bp)
+        bp = law.params
         print(f"s_star = {bp.s_star:.12g} T   a0 = {bp.a0:.12g}   a1 = {bp.a1:.12g}")
         res = brauer_c2_residuals(bp)
         print(
@@ -253,21 +224,6 @@ def _cmd_material_check(args):
         print(f"L''   = {law.hess_lipschitz:.6g} (pair scan {l2_hat:.6g})")
         return EXIT_OK
 
-    if args.material == "linear":
-        law = materials.LinearIsotropic(params.get("nu", materials.NU0))
-    elif args.material == "permanent_magnet":
-        law = materials.PermanentMagnet(
-            params.get("nu0", materials.NU0),
-            (params.get("mx", 0.0), params.get("my", 0.0)),
-        )
-    elif args.material == "anisotropic":
-        n12 = params.get("n12", 0.0)
-        law = materials.AnisotropicLinear(
-            [[params["n11"], n12], [n12, params["n22"]]]
-        )
-    else:
-        print(f"unknown material {args.material!r}", file=sys.stderr)
-        return EXIT_USAGE
     print(f"gamma = {law.gamma:.12g}")
     print(f"L     = {law.lipschitz:.12g}")
     print(f"L''   = {law.hess_lipschitz:.6g}")

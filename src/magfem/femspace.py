@@ -4,9 +4,9 @@ The discrete unknown is a scalar potential a_h whose rotated gradient
 Curl a = (da/dy, -da/dx) is the flux density. Spaces carry homogeneous
 Dirichlet constraints on tagged boundary edges (a = 0 realizes the no-flux
 condition b.n = 0). Dof numbering is deterministic: vertex dofs by vertex
-index, then edge dofs by sorted edge, then element-interior dofs by
-element index; edge-interior dofs run from the lower- to the
-higher-indexed vertex.
+index, then edge dofs in `mesh.edges` order (the mesh's edge table,
+sorted by vertex pair), then element-interior dofs by element index;
+edge-interior dofs run from the lower- to the higher-indexed vertex.
 
 Spaces are immutable after construction and all evaluation routines are
 pure, so they are safe to share between concurrent workers.
@@ -173,39 +173,27 @@ def build_space(mesh, degree, dirichlet_tags=frozenset()):
     n_edge = p - 1
     n_int = (p - 1) * (p - 2) // 2
 
-    edge_keys = sorted(
-        {
-            (min(int(tri[i]), int(tri[(i + 1) % 3])), max(int(tri[i]), int(tri[(i + 1) % 3])))
-            for tri in mesh.triangles
-            for i in range(3)
-        }
-    )
-    edge_offset = {e: nv + k * n_edge for k, e in enumerate(edge_keys)}
-    interior_base = nv + len(edge_keys) * n_edge
+    # Edge e owns dofs nv + e*n_edge + k, k = 0..n_edge-1 running from its
+    # lower- to its higher-indexed vertex.
+    edges = mesh.edges
+    edge_slots = np.arange(n_edge)
+    interior_base = nv + len(edges) * n_edge
     num_dofs = interior_base + ne * n_int
 
     conn = np.empty((ne, n_local), dtype=np.int64)
     conn[:, 0:3] = mesh.triangles
-    local_edges = ((0, 1), (1, 2), (2, 0))
-    for t, tri in enumerate(mesh.triangles):
-        col = 3
-        for a, b in local_edges:
-            ga, gb = int(tri[a]), int(tri[b])
-            base = edge_offset[(min(ga, gb), max(ga, gb))]
-            for k in range(n_edge):
-                slot = k if ga < gb else n_edge - 1 - k
-                conn[t, col] = base + slot
-                col += 1
-        for k in range(n_int):
-            conn[t, col] = interior_base + t * n_int + k
-            col += 1
+    forward = mesh.triangles < mesh.triangles[:, [1, 2, 0]]
+    slot = np.where(forward[:, :, None], edge_slots, n_edge - 1 - edge_slots)
+    edge_dofs = nv + mesh.triangle_edges[:, :, None] * n_edge + slot
+    conn[:, 3 : 3 + 3 * n_edge] = edge_dofs.reshape(ne, 3 * n_edge)
+    conn[:, 3 + 3 * n_edge :] = interior_base + np.arange(ne * n_int).reshape(ne, n_int)
 
     dof_coords = np.empty((num_dofs, 2))
     dof_coords[:nv] = mesh.vertices
-    for (u, v), base in edge_offset.items():
-        for k in range(n_edge):
-            frac = (k + 1) / p
-            dof_coords[base + k] = (1 - frac) * mesh.vertices[u] + frac * mesh.vertices[v]
+    frac = (edge_slots + 1)[None, :, None] / p
+    ends = mesh.vertices[edges]
+    along = (1 - frac) * ends[:, None, 0] + frac * ends[:, None, 1]
+    dof_coords[nv:interior_base] = along.reshape(-1, 2)
     if n_int:
         ref_interior = _reference_nodes(p)[3 + 3 * n_edge :]
         pts = mesh.vertices[mesh.triangles]
@@ -220,12 +208,9 @@ def build_space(mesh, degree, dirichlet_tags=frozenset()):
         dof_coords[interior_base:] = phys.reshape(ne * n_int, 2)
 
     constrained = np.zeros(num_dofs, dtype=bool)
-    for (u, v), tag in zip(mesh.boundary_edges, mesh.boundary_tag):
-        if int(tag) in tags:
-            constrained[int(u)] = True
-            constrained[int(v)] = True
-            base = edge_offset[(min(int(u), int(v)), max(int(u), int(v)))]
-            constrained[base : base + n_edge] = True
+    on = np.isin(mesh.boundary_tag, sorted(tags))
+    constrained[mesh.boundary_edges[on]] = True
+    constrained[nv + mesh.boundary_edge_ids[on, None] * n_edge + edge_slots] = True
 
     free_index = np.full(num_dofs, -1, dtype=np.int64)
     free_index[~constrained] = np.arange(int(np.sum(~constrained)))

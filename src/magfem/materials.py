@@ -262,9 +262,37 @@ class BrauerLaw(IsotropicLaw):
         return float(np.max(np.abs(np.diff(d2) / np.diff(s))))
 
 
+def build_law(kind, params):
+    """Material law of the named kind from a mapping of named parameters.
+
+    Values may be numbers or numeric strings. Brauer coefficients default
+    to the standard soft-iron set; the anisotropic law's n11 and n22 are
+    required.
+    """
+
+    def get(name, default=None):
+        if name in params:
+            return float(params[name])
+        if default is None:
+            raise ValueError(f"{kind} law needs parameter {name!r}")
+        return default
+
+    if kind == "brauer":
+        k1, k2, k3 = get("k1", 3.8), get("k2", 2.17), get("k3", 396.2)
+        return BrauerLaw(brauer_build(k1, k2, k3, get("nu0", NU0)))
+    if kind == "linear":
+        return LinearIsotropic(get("nu", NU0))
+    if kind == "permanent_magnet":
+        return PermanentMagnet(get("nu0", NU0), (get("mx", 0.0), get("my", 0.0)))
+    if kind == "anisotropic":
+        n12 = get("n12", 0.0)
+        return AnisotropicLinear([[get("n11"), n12], [n12, get("n22")]])
+    raise ValueError(f"unknown material law {kind!r}")
+
+
 def brauer_reference():
     """Brauer law with the standard soft-iron coefficients."""
-    return BrauerLaw(brauer_build(k1=3.8, k2=2.17, k3=396.2, nu0=NU0))
+    return build_law("brauer", {})
 
 
 def material_eval(law, x, b):

@@ -55,6 +55,19 @@ class Mesh:
         Vertex pairs of boundary edges.
     boundary_tag : (nb,) int array
         Integer tag per boundary edge.
+
+    Attributes
+    ----------
+    edges : (n_edges, 2) int array
+        The undirected edges as (low, high) vertex pairs, sorted by low
+        then high vertex. Edge dofs and refinement midpoints follow this
+        order.
+    triangle_edges : (ne, 3) int array
+        Row of `edges` for each triangle's local edges (0,1), (1,2), (2,0).
+    boundary_edge_ids : (nb,) int array
+        Row of `edges` for each listed boundary edge.
+
+    The edge table is built once, by validation, and is read-only.
     """
 
     vertices: np.ndarray
@@ -62,6 +75,9 @@ class Mesh:
     region_tag: np.ndarray
     boundary_edges: np.ndarray
     boundary_tag: np.ndarray
+    edges: np.ndarray
+    triangle_edges: np.ndarray
+    boundary_edge_ids: np.ndarray
 
     def __init__(self, vertices, triangles, region_tag, boundary_edges, boundary_tag):
         object.__setattr__(self, "vertices", _frozen(vertices, float))
@@ -152,36 +168,47 @@ class Mesh:
                 f"triangle {bad} has nonpositive or degenerate signed area {areas[bad]:g}"
             )
 
-        # Conformity: each undirected edge in at most two triangles, each
-        # directed edge at most once (consistent CCW orientation).
-        directed = set()
-        count = {}
-        for t, tri in enumerate(self.triangles):
-            for i in range(3):
-                u, v = int(tri[i]), int(tri[(i + 1) % 3])
-                if u == v:
-                    raise MeshError(f"triangle {t} has a repeated vertex")
-                if (u, v) in directed:
-                    raise MeshError(f"directed edge ({u},{v}) occurs twice; orientation conflict")
-                directed.add((u, v))
-                key = (min(u, v), max(u, v))
-                count[key] = count.get(key, 0) + 1
-                if count[key] > 2:
-                    raise MeshError(f"edge ({u},{v}) shared by more than two triangles")
+        # Conformity: each directed edge at most once (consistent CCW
+        # orientation). A third triangle on an edge would repeat one of its
+        # two directions, so this also keeps every edge in at most two
+        # triangles. Edges are keyed low*nv + high, exact in int64 while
+        # nv < 3e9; a failure names the first offending edge in triangle order.
+        tail = self.triangles.ravel()
+        head = self.triangles[:, [1, 2, 0]].ravel()
+        low, high = np.minimum(tail, head), np.maximum(tail, head)
+        keys, edge_ids, count = np.unique(
+            low * nv + high, return_inverse=True, return_counts=True
+        )
+        repeat = np.ones(len(tail), dtype=bool)
+        repeat[np.unique(tail * nv + head, return_index=True)[1]] = False
+        bad = np.flatnonzero(repeat | (tail == head))
+        if len(bad):
+            t, u, v = bad[0] // 3, int(tail[bad[0]]), int(head[bad[0]])
+            if u == v:
+                raise MeshError(f"triangle {t} has a repeated vertex")
+            raise MeshError(f"directed edge ({u},{v}) occurs twice; orientation conflict")
 
-        expected_boundary = {e for e, c in count.items() if c == 1}
-        listed = [
-            (min(int(u), int(v)), max(int(u), int(v))) for u, v in self.boundary_edges
-        ]
-        if len(set(listed)) != len(listed):
+        listed = np.sort(self.boundary_edges, axis=1)
+        listed_keys = listed[:, 0] * nv + listed[:, 1]
+        unique_listed = np.unique(listed_keys)
+        if len(unique_listed) != len(listed_keys):
             raise MeshError("duplicate boundary edge listed")
-        if set(listed) != expected_boundary:
-            missing = expected_boundary - set(listed)
-            extra = set(listed) - expected_boundary
+        expected = keys[count == 1]
+        if not np.array_equal(unique_listed, expected):
+            def pairs(k):
+                return [(int(e // nv), int(e % nv)) for e in k[:3]]
+
             raise MeshError(
-                f"boundary edge list inconsistent (missing {sorted(missing)[:3]}, "
-                f"extra {sorted(extra)[:3]})"
+                f"boundary edge list inconsistent (missing "
+                f"{pairs(np.setdiff1d(expected, listed_keys))}, "
+                f"extra {pairs(np.setdiff1d(listed_keys, expected))})"
             )
+
+        edges = np.column_stack([keys // nv, keys % nv])
+        object.__setattr__(self, "edges", _frozen(edges, np.int64))
+        object.__setattr__(self, "triangle_edges", _frozen(edge_ids.reshape(-1, 3), np.int64))
+        boundary_ids = np.searchsorted(keys, listed_keys)
+        object.__setattr__(self, "boundary_edge_ids", _frozen(boundary_ids, np.int64))
 
 
 def with_region_tags(mesh, region_tag):
@@ -252,40 +279,19 @@ def refine_uniform(mesh):
     cross-level evaluation depends on.
     """
     nv = mesh.num_vertices
-    edge_mid = {}
-    new_vertices = [mesh.vertices]
+    u, v = mesh.edges.T
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[u] + mesh.vertices[v])])
 
-    edge_set = set()
-    for tri in mesh.triangles:
-        for i in range(3):
-            u, v = int(tri[i]), int(tri[(i + 1) % 3])
-            edge_set.add((min(u, v), max(u, v)))
-    for k, (u, v) in enumerate(sorted(edge_set)):
-        edge_mid[(u, v)] = nv + k
-    mids = np.array(sorted(edge_set), dtype=int)
-    new_vertices.append(0.5 * (mesh.vertices[mids[:, 0]] + mesh.vertices[mids[:, 1]]))
-    vertices = np.vstack(new_vertices)
-
-    def mid(u, v):
-        return edge_mid[(min(u, v), max(u, v))]
-
-    triangles = np.empty((4 * mesh.num_triangles, 3), dtype=int)
-    for t, tri in enumerate(mesh.triangles):
-        v0, v1, v2 = (int(v) for v in tri)
-        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
-        triangles[4 * t + 0] = (v0, m01, m20)
-        triangles[4 * t + 1] = (m01, v1, m12)
-        triangles[4 * t + 2] = (m20, m12, v2)
-        triangles[4 * t + 3] = (m01, m12, m20)
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m20 = (nv + mesh.triangle_edges).T
+    children = [v0, m01, m20, m01, v1, m12, m20, m12, v2, m01, m12, m20]
+    triangles = np.stack(children, axis=1).reshape(-1, 3)
     region_tag = np.repeat(mesh.region_tag, 4)
 
-    boundary_edges = []
-    boundary_tag = []
-    for (u, v), tag in zip(mesh.boundary_edges, mesh.boundary_tag):
-        m = mid(int(u), int(v))
-        boundary_edges.append((int(u), m))
-        boundary_edges.append((m, int(v)))
-        boundary_tag += [int(tag), int(tag)]
+    a, b = mesh.boundary_edges.T
+    m = nv + mesh.boundary_edge_ids
+    boundary_edges = np.stack([a, m, m, b], axis=1).reshape(-1, 2)
+    boundary_tag = np.repeat(mesh.boundary_tag, 2)
 
     return Mesh(vertices, triangles, region_tag, boundary_edges, boundary_tag)
 

@@ -272,3 +272,16 @@ def test_js_with_map_rejected(tmp_path):
     )
     cfg = _write(tmp_path, "bad.ini", cfg_text)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
+
+
+def test_material_check_missing_required_param_names_it(capsys):
+    code = main(["material-check", "--material", "anisotropic", "--params", "n22=2"])
+    assert code == EXIT_USAGE
+    assert "'n11'" in capsys.readouterr().err
+
+
+def test_solve_config_missing_required_param_names_it(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini", ANNULUS_CONFIG.replace("n11 = 3.0\n", ""))
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")])
+    assert code == EXIT_USAGE
+    assert "'n11'" in capsys.readouterr().err

@@ -226,3 +226,47 @@ def test_refinement_stays_conforming_on_disc():
     r = mf.refine_uniform(m)  # Mesh validation runs in the constructor
     assert r.num_triangles == 4 * m.num_triangles
     assert abs(r.total_area() - m.total_area()) <= 1e-12
+
+
+# Unit square split along its diagonal 0-2, plus apexes off each side of the
+# bottom edge 0-1, for overlapping triangles that reuse that edge.
+_CONFORMITY_VERTICES = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, -1.0), (0.5, 2.0)]
+_SQUARE_BOUNDARY = [(0, 1), (1, 2), (2, 3), (3, 0)]
+
+
+def _conformity_error(triangles, boundary_edges):
+    with pytest.raises(mf.MeshError) as err:
+        Mesh(
+            _CONFORMITY_VERTICES,
+            triangles,
+            np.ones(len(triangles), dtype=int),
+            boundary_edges,
+            np.ones(len(boundary_edges), dtype=int),
+        )
+    return str(err.value)
+
+
+def test_directed_edge_used_twice_rejected():
+    # (0,1,2) and (0,1,5) both traverse the edge 0 -> 1
+    message = _conformity_error([(0, 1, 2), (0, 1, 5)], [(1, 2), (2, 0), (1, 5), (5, 0)])
+    assert "directed edge (0,1) occurs twice; orientation conflict" in message
+
+
+def test_edge_in_three_triangles_rejected():
+    # 0-1 is in (0,1,2), (1,0,4) and (0,1,5); the third repeats a direction
+    message = _conformity_error(
+        [(0, 1, 2), (1, 0, 4), (0, 1, 5)],
+        [(1, 2), (2, 0), (0, 4), (4, 1), (1, 5), (5, 0)],
+    )
+    assert "directed edge (0,1) occurs twice" in message
+
+
+def test_duplicate_boundary_edge_rejected():
+    message = _conformity_error([(0, 1, 2), (0, 2, 3)], _SQUARE_BOUNDARY + [(1, 0)])
+    assert "duplicate boundary edge listed" in message
+
+
+def test_extra_boundary_edge_rejected():
+    # the interior diagonal 0-2 is listed as a boundary edge
+    message = _conformity_error([(0, 1, 2), (0, 2, 3)], _SQUARE_BOUNDARY + [(2, 0)])
+    assert "boundary edge list inconsistent (missing [], extra [(0, 2)])" in message

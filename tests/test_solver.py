@@ -376,3 +376,36 @@ def test_history_matches_report(small_brauer_problem):
     coeffs, report, history = mf.run_newton_with_history(small_brauer_problem)
     assert len(history) == report.n_iterations + 1
     assert np.array_equal(history[-1], coeffs.values)
+
+
+# -- concurrency ---------------------------------------------------------------
+
+
+def test_concurrent_solves_on_shared_problem_match_serial():
+    # The README says independent solves may run concurrently. Four workers
+    # share one freshly built Problem (so its lazy tabulation caches fill
+    # under contention) and a tiny switch interval forces frequent thread
+    # switches; every result must equal the serial one bit for bit.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    bench = manufactured_benchmark()
+    orders = (1, 2, 1, 2, 1, 2, 1, 2)
+    serial = {}
+    for k in (1, 2):
+        coeffs, report = mf.newton_solve(problem_at_level(bench, 1, order=k))
+        serial[k] = (coeffs.values, report.energies())
+    shared = {k: problem_at_level(bench, 1, order=k) for k in (1, 2)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(mf.newton_solve, shared[k]) for k in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    for k, (coeffs, report) in zip(orders, results):
+        assert np.array_equal(coeffs.values, serial[k][0])
+        assert report.energies() == serial[k][1]
