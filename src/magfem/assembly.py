@@ -34,6 +34,9 @@ class Problem:
     element boundaries on every refinement level. `order` is the curl
     degree k; the potential lives in Lagrange elements of degree k+1 and
     the default quadrature is exact to degree 2k.
+
+    Everything an assembly reads is tabulated once, at construction, into
+    the read-only arrays below; nothing is assigned afterwards.
     """
 
     mesh: object
@@ -45,11 +48,19 @@ class Problem:
     quad_degree: int = None
     space: femspace.FESpace = field(init=False)
     rule: object = field(init=False)
+    points: np.ndarray = field(init=False)  # (ne, nq, 2) mapped quadrature points
+    curls: np.ndarray = field(init=False)   # (ne, nq, n_local, 2) basis curls
+    values: np.ndarray = field(init=False)  # (nq, n_local) basis values
+    wq: np.ndarray = field(init=False)      # (ne, nq) weights times element areas
+    region_rows: dict = field(init=False)   # {region tag: element indices}
+    hs: np.ndarray = field(init=False)      # (ne, nq, 2) source field samples, or None
+    js: np.ndarray = field(init=False)      # (ne, nq) current density samples, or None
 
     def __post_init__(self):
         if self.hs_field is not None and self.js_density is not None:
             raise ProblemConfigError("set at most one of hs_field and js_density")
-        missing = self.mesh.region_tags_present() - set(self.materials)
+        mesh = self.mesh
+        missing = mesh.region_tags_present() - set(self.materials)
         if missing:
             raise ProblemConfigError(f"regions {sorted(missing)} have no material law")
         degree = self.quad_degree
@@ -60,16 +71,39 @@ class Problem:
                 f"quadrature exactness {degree} is below the bilinear requirement "
                 f"2k = {2 * self.order}"
             )
-        object.__setattr__(self, "quad_degree", degree)
-        object.__setattr__(self, "rule", rule_for_degree(degree))
-        object.__setattr__(
-            self,
-            "space",
-            femspace.build_space(self.mesh, self.order + 1, self.dirichlet_tags),
-        )
-        object.__setattr__(self, "_cache", {})
-
-    # -- cached quadrature-point data --------------------------------------
+        rule = rule_for_degree(degree)
+        space = femspace.build_space(mesh, self.order + 1, self.dirichlet_tags)
+        points = mapped_points(mesh, rule)
+        ne, nq, _ = points.shape
+        flat_points = points.reshape(ne * nq, 2)
+        hs = js = None
+        if self.hs_field is not None:
+            hs = np.asarray(self.hs_field(flat_points), float).reshape(ne, nq, 2)
+        elif isinstance(self.js_density, dict):
+            per_element = np.array(
+                [float(self.js_density.get(int(t), 0.0)) for t in mesh.region_tag]
+            )
+            js = np.broadcast_to(per_element[:, None], (ne, nq)).copy()
+        elif self.js_density is not None:
+            js = np.asarray(self.js_density(flat_points), float).reshape(ne, nq)
+        curls = femspace.tabulate_curl(space, rule)
+        values = femspace.tabulate_values(space, rule)
+        wq = rule.weights[None, :] * space.element_areas[:, None]
+        region_rows = {
+            tag: np.nonzero(mesh.region_tag == tag)[0]
+            for tag in sorted(mesh.region_tags_present())
+        }
+        # all fresh arrays; hs and js are reshaped views, so a caller-owned
+        # base keeps its own flags
+        for arr in (points, curls, values, wq, hs, js, *region_rows.values()):
+            if arr is not None:
+                arr.flags.writeable = False
+        for name, value in (
+            ("quad_degree", degree), ("rule", rule), ("space", space),
+            ("points", points), ("curls", curls), ("values", values), ("wq", wq),
+            ("region_rows", region_rows), ("hs", hs), ("js", js),
+        ):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         source = "hs" if self.hs_field is not None else "js" if self.js_density is not None else "none"
@@ -78,13 +112,6 @@ class Problem:
             f"n_free={self.space.n_free}, regions={sorted(self.materials)}, "
             f"source={source})"
         )
-
-    def _data(self):
-        cached = self._cache.get("data")
-        if cached is None:
-            cached = _QuadData(self)
-            self._cache["data"] = cached
-        return cached
 
     def certified_bounds(self):
         """(gamma, L) over all region laws, or None if any law lacks them."""
@@ -97,61 +124,29 @@ class Problem:
         return min(gammas), max(lips)
 
 
-class _QuadData:
-    """Per-problem tabulated quadrature data shared by all assemblies."""
-
-    def __init__(self, problem):
-        mesh = problem.mesh
-        space = problem.space
-        rule = problem.rule
-        self.points = mapped_points(mesh, rule)      # (ne, nq, 2)
-        self.curls = femspace.tabulate_curl(space, rule)  # (ne, nq, nl, 2)
-        self.values = femspace.tabulate_values(space, rule)  # (nq, nl)
-        self.areas = space.element_areas
-        self.weights = rule.weights
-        ne, nq, _ = self.points.shape
-        self.flat_points = self.points.reshape(ne * nq, 2)
-        # elements grouped by region for material evaluation
-        self.region_rows = {
-            tag: np.nonzero(mesh.region_tag == tag)[0]
-            for tag in sorted(mesh.region_tags_present())
-        }
-        # source samples are affine data; evaluate once
-        self.hs = None
-        self.js = None
-        if problem.hs_field is not None:
-            self.hs = np.asarray(problem.hs_field(self.flat_points), float).reshape(ne, nq, 2)
-        elif problem.js_density is not None:
-            js = problem.js_density
-            if isinstance(js, dict):
-                per_element = np.array(
-                    [float(js.get(int(t), 0.0)) for t in mesh.region_tag]
-                )
-                self.js = np.broadcast_to(per_element[:, None], (ne, nq)).copy()
-            else:
-                self.js = np.asarray(js(self.flat_points), float).reshape(ne, nq)
-
-
 def _local_coeffs(problem, coeffs):
     return coeffs.full()[problem.space.conn]  # (ne, nl)
 
 
 def curl_at_quadrature(problem, coeffs):
     """Flux density b = Curl a_h at every quadrature point; (ne, nq, 2)."""
-    data = problem._data()
-    return np.einsum("el,eqli->eqi", _local_coeffs(problem, coeffs), data.curls)
+    return np.einsum("el,eqli->eqi", _local_coeffs(problem, coeffs), problem.curls)
 
 
-def _material_apply(problem, fn_name, b):
-    """Evaluate law.<fn_name> regionwise on the (ne, nq, ...) batch."""
-    data = problem._data()
+def _material_apply(problem, name, b, points=None):
+    """Evaluate law.<name> regionwise on the (ne, nq, 2) batch b.
+
+    `points` are the (ne, nq, 2) points b sits at, by default the
+    problem's own quadrature points.
+    """
+    points = problem.points if points is None else points
     ne, nq = b.shape[:2]
     out = None
-    for tag, rows in data.region_rows.items():
+    for tag, rows in problem.region_rows.items():
         law = problem.materials[tag]
-        xs = data.points[rows].reshape(-1, 2)
+        xs = points[rows].reshape(-1, 2)
         bs = b[rows].reshape(-1, 2)
-        vals = getattr(law, fn_name)(xs, bs)
+        vals = getattr(law, name)(xs, bs)
         if out is None:
             out = np.empty((ne, nq) + vals.shape[1:])
         out[rows] = vals.reshape((len(rows), nq) + vals.shape[1:])
@@ -160,16 +155,16 @@ def _material_apply(problem, fn_name, b):
 
 def assemble_energy(problem, coeffs):
     """Discrete magnetic energy W(a_h) = <w(Curl a_h), 1>_h - source term."""
-    data = problem._data()
+    weights, areas = problem.rule.weights, problem.space.element_areas
     b = curl_at_quadrature(problem, coeffs)
     w = _material_apply(problem, "w", b)  # (ne, nq)
     integrand = w
-    if data.hs is not None:
-        integrand = w - np.sum(data.hs * b, axis=2)
-    total = float((integrand @ data.weights) @ data.areas)
-    if data.js is not None:
-        a_vals = _local_coeffs(problem, coeffs) @ data.values.T  # (ne, nq)
-        total -= float(((data.js * a_vals) @ data.weights) @ data.areas)
+    if problem.hs is not None:
+        integrand = w - np.sum(problem.hs * b, axis=2)
+    total = float((integrand @ weights) @ areas)
+    if problem.js is not None:
+        a_vals = _local_coeffs(problem, coeffs) @ problem.values.T  # (ne, nq)
+        total -= float(((problem.js * a_vals) @ weights) @ areas)
     return total
 
 
@@ -179,16 +174,14 @@ def assemble_residual(problem, coeffs):
     Component i is <dw(Curl a_h) - h_s, Curl phi_i>_h (or the j-form
     variant with -<j_s, phi_i>_h as source).
     """
-    data = problem._data()
     space = problem.space
     b = curl_at_quadrature(problem, coeffs)
     h = _material_apply(problem, "dw", b)  # (ne, nq, 2)
-    if data.hs is not None:
-        h = h - data.hs
-    wq = data.weights[None, :] * data.areas[:, None]  # (ne, nq)
-    cell = np.einsum("eq,eqi,eqli->el", wq, h, data.curls)
-    if data.js is not None:
-        cell -= np.einsum("eq,eq,ql->el", wq, data.js, data.values)
+    if problem.hs is not None:
+        h = h - problem.hs
+    cell = np.einsum("eq,eqi,eqli->el", problem.wq, h, problem.curls)
+    if problem.js is not None:
+        cell -= np.einsum("eq,eq,ql->el", problem.wq, problem.js, problem.values)
 
     res = np.zeros(space.num_dofs)
     np.add.at(res, space.conn.ravel(), cell.ravel())
@@ -203,18 +196,15 @@ def residual_scale(problem, coeffs):
     floating-point noise of an exactly zero residual (for example a
     uniformly magnetized domain, whose exact solution is a = 0).
     """
-    data = problem._data()
     space = problem.space
     b = curl_at_quadrature(problem, coeffs)
-    h = _material_apply(problem, "dw", b)
-    if data.hs is not None:
-        h = np.abs(h) + np.abs(data.hs)
-    else:
-        h = np.abs(h)
-    wq = data.weights[None, :] * np.abs(data.areas[:, None])
-    cell = np.einsum("eq,eqi,eqli->el", wq, h, np.abs(data.curls))
-    if data.js is not None:
-        cell += np.einsum("eq,eq,ql->el", wq, np.abs(data.js), np.abs(data.values))
+    h = np.abs(_material_apply(problem, "dw", b))
+    if problem.hs is not None:
+        h = h + np.abs(problem.hs)
+    wq = np.abs(problem.wq)  # the weights are positive
+    cell = np.einsum("eq,eqi,eqli->el", wq, h, np.abs(problem.curls))
+    if problem.js is not None:
+        cell += np.einsum("eq,eq,ql->el", wq, np.abs(problem.js), np.abs(problem.values))
     res = np.zeros(space.num_dofs)
     np.add.at(res, space.conn.ravel(), cell.ravel())
     return float(np.linalg.norm(res[~space.constrained]))
@@ -225,7 +215,6 @@ def assemble_hessian(problem, coeffs):
 
     Entry (i, j) is <d2w(Curl a_h) Curl phi_j, Curl phi_i>_h.
     """
-    data = problem._data()
     b = curl_at_quadrature(problem, coeffs)
     nu_d = _material_apply(problem, "d2w", b)  # (ne, nq, 2, 2)
     return _scatter_matrix(problem, nu_d)
@@ -234,24 +223,16 @@ def assemble_hessian(problem, coeffs):
 def assemble_unit_stiffness(problem):
     """Stiffness matrix for unit reluctivity, <Curl phi_j, Curl phi_i>_h.
 
-    Constant across the Newton iteration; used for increment norms and as
-    the fixed-point preconditioner.
+    The fixed-point iteration's preconditioner; built afresh on each call.
     """
-    cached = problem._cache.get("unit_stiffness")
-    if cached is None:
-        data = problem._data()
-        ne, nq = data.points.shape[:2]
-        eye = np.broadcast_to(np.eye(2), (ne, nq, 2, 2))
-        cached = _scatter_matrix(problem, eye)
-        problem._cache["unit_stiffness"] = cached
-    return cached
+    ne, nq = problem.wq.shape
+    return _scatter_matrix(problem, np.broadcast_to(np.eye(2), (ne, nq, 2, 2)))
 
 
 def _scatter_matrix(problem, nu_d):
-    data = problem._data()
     space = problem.space
-    wq = data.weights[None, :] * data.areas[:, None]
-    cell = np.einsum("eq,eqli,eqij,eqmj->elm", wq, data.curls, nu_d, data.curls)
+    curls = problem.curls
+    cell = np.einsum("eq,eqli,eqij,eqmj->elm", problem.wq, curls, nu_d, curls)
 
     nl = space.n_local
     free = space.free_index[space.conn]  # (ne, nl), -1 where constrained
@@ -267,36 +248,28 @@ def _scatter_matrix(problem, nu_d):
 
 
 def curl_norm(problem, free_values):
-    """Discrete curl (semi)norm ||Curl v_h||_h of a free-dof vector."""
-    K = assemble_unit_stiffness(problem)
-    return float(np.sqrt(max(free_values @ (K @ free_values), 0.0)))
+    """Discrete curl (semi)norm ||Curl v_h||_h of a free-dof vector.
+
+    The square root of the quadrature sum of |Curl v_h|^2: the same
+    quantity as sqrt(v^T K v) with the unit stiffness K, which uses the
+    same rule, without assembling K.
+    """
+    b = curl_at_quadrature(problem, femspace.CoefficientVector(problem.space, free_values))
+    return float(np.sqrt(np.sum(problem.wq * np.sum(b * b, axis=2))))
 
 
 def fields_at_quadrature(problem, coeffs, rule=None):
     """Quadrature-point samples (x, b, h) for post-processing and errors.
 
-    With `rule` given, re-tabulates on that rule (used for the
-    over-integrated error norms); defaults to the problem's own rule.
+    With `rule` given, tabulates on that rule (used for the over-integrated
+    error norms) without keeping the tables; defaults to the problem's own
+    rule.
     """
     if rule is None or rule.degree == problem.rule.degree:
-        data = problem._data()
-        pts = data.points
+        pts = problem.points
         b = curl_at_quadrature(problem, coeffs)
     else:
         pts = mapped_points(problem.mesh, rule)
         curls = femspace.tabulate_curl(problem.space, rule)
         b = np.einsum("el,eqli->eqi", _local_coeffs(problem, coeffs), curls)
-    h = _field_from_b(problem, pts, b)
-    return pts, b, h
-
-
-def _field_from_b(problem, pts, b):
-    ne, nq = b.shape[:2]
-    h = np.empty_like(b)
-    for tag in sorted(problem.mesh.region_tags_present()):
-        rows = np.nonzero(problem.mesh.region_tag == tag)[0]
-        law = problem.materials[tag]
-        h[rows] = law.dw(
-            pts[rows].reshape(-1, 2), b[rows].reshape(-1, 2)
-        ).reshape(len(rows), nq, 2)
-    return h
+    return pts, b, _material_apply(problem, "dw", b, pts)

@@ -45,6 +45,13 @@ def _build_map(section):
     raise ConfigError(f"unknown map {name!r}; choose from {geometry.BUILTIN_MAPS}")
 
 
+def _finite_float(section, key, default=None):
+    value = section.getfloat(key, default)
+    if not np.isfinite(value):
+        raise ConfigError(f"[{section.name}] {key} must be finite, got {value}")
+    return value
+
+
 def read_newton_config(parser):
     cfg = solver.NewtonConfig()
     if parser.has_section("newton"):
@@ -108,14 +115,14 @@ def read_problem_config(path, mesh_file=None):
             if domain_map is not None:
                 raise ConfigError("js sources are not supported with a domain map; use hs")
             js_density = {
-                int(key.split(".", 1)[1]): float(value)
-                for key, value in s.items()
+                int(key.split(".", 1)[1]): _finite_float(s, key)
+                for key in s
                 if key.startswith("region.")
             }
             if not js_density:
                 raise ConfigError("js source needs region.<tag> entries")
         elif form == "hs":
-            vec = np.array([s.getfloat("hs_x", 0.0), s.getfloat("hs_y", 0.0)])
+            vec = np.array([_finite_float(s, "hs_x", 0.0), _finite_float(s, "hs_y", 0.0)])
 
             def constant_hs(x):
                 return np.broadcast_to(vec, (len(np.atleast_2d(x)), 2)).copy()

@@ -103,7 +103,6 @@ class FESpace:
     element_matrix: np.ndarray   # (ne, 2, 2) affine map matrix, columns v1-v0, v2-v0
     element_inverse: np.ndarray  # (ne, 2, 2) its inverse
     element_areas: np.ndarray    # (ne,) signed areas
-    _curl_cache: dict
 
     def __repr__(self):
         return (
@@ -239,35 +238,33 @@ def build_space(mesh, degree, dirichlet_tags=frozenset()):
         element_matrix=B,
         element_inverse=Binv,
         element_areas=areas,
-        _curl_cache={},
     )
 
 
 # -- evaluation --------------------------------------------------------------
 
 
-def _physical_curls(space, ref_grads, elements=None):
-    """Physical Curl of each shape function; (ne, nq, n_local, 2).
-
-    ref_grads has shape (nq, n_local, 2); Curl a = (grad a rotated by -90deg)
-    and grad transforms with the inverse transpose of the element matrix.
-    """
-    inv = space.element_inverse if elements is None else space.element_inverse[elements]
-    grad = np.einsum("eji,qlj->eqli", inv, ref_grads)
+def _curl_from_grad(grad):
+    """Curl a = (da/dy, -da/dx): gradients in the last axis rotated by -90deg."""
     curl = np.empty_like(grad)
     curl[..., 0] = grad[..., 1]
     curl[..., 1] = -grad[..., 0]
     return curl
 
 
+def _physical_curls(space, ref_grads, elements=None):
+    """Physical Curl of each shape function; (ne, nq, n_local, 2).
+
+    ref_grads has shape (nq, n_local, 2); grad transforms with the inverse
+    transpose of the element matrix.
+    """
+    inv = space.element_inverse if elements is None else space.element_inverse[elements]
+    return _curl_from_grad(np.einsum("eji,qlj->eqli", inv, ref_grads))
+
+
 def tabulate_curl(space, rule):
     """Curl of all shape functions at the rule's points, per element."""
-    cached = space._curl_cache.get(rule.degree)
-    if cached is None:
-        ref_grads = _shape_gradients(space.degree, rule.points)
-        cached = _physical_curls(space, ref_grads)
-        space._curl_cache[rule.degree] = cached
-    return cached
+    return _physical_curls(space, _shape_gradients(space.degree, rule.points))
 
 
 def tabulate_values(space, rule):
@@ -306,10 +303,7 @@ def eval_curl_batch(space, coeffs, elements, points):
     elements = np.asarray(elements)
     grads = _shape_gradients(space.degree, points)  # (n, n_local, 2)
     inv = space.element_inverse[elements]
-    grad = np.einsum("nji,nlj->nli", inv, grads)
-    curl = np.empty_like(grad)
-    curl[..., 0] = grad[..., 1]
-    curl[..., 1] = -grad[..., 0]
+    curl = _curl_from_grad(np.einsum("nji,nlj->nli", inv, grads))
     local = coeffs.full()[space.conn[elements]]  # (n, n_local)
     return np.einsum("nl,nli->ni", local, curl)
 

@@ -138,10 +138,6 @@ def _eval_on_parent(coarse_problem, coarse_coeffs, fine_ne, rule):
     return b.reshape(fine_ne, nq, 2)
 
 
-def _h_from_b(problem, pts, b):
-    return assembly._field_from_b(problem, pts, b)
-
-
 def solve_level(benchmark, level, cfg, order=None):
     """Build and solve one refinement level; returns (problem, coeffs, report)."""
     problem = problem_at_level(benchmark, level, order=order)
@@ -236,7 +232,7 @@ def _manufactured_errors(benchmark, problem, coeffs, rule):
     pts, b_h, h_h = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
     flat = pts.reshape(-1, 2)
     b_ex = np.asarray(benchmark.exact_flux(flat), float).reshape(b_h.shape)
-    h_ex = _h_from_b(problem, pts, b_ex)
+    h_ex = assembly._material_apply(problem, "dw", b_ex, pts)
     mesh = problem.mesh
     err_b = _l2_norm(mesh, rule, b_h - b_ex) / _l2_norm(mesh, rule, b_ex)
     err_h = _l2_norm(mesh, rule, h_h - h_ex) / _l2_norm(mesh, rule, h_ex)
@@ -246,7 +242,7 @@ def _manufactured_errors(benchmark, problem, coeffs, rule):
 def _refinement_errors(coarse_p, coarse_c, fine_p, fine_c, rule):
     pts, b_fine, h_fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
     b_coarse = _eval_on_parent(coarse_p, coarse_c, fine_p.mesh.num_triangles, rule)
-    h_coarse = _h_from_b(fine_p, pts, b_coarse)
+    h_coarse = assembly._material_apply(fine_p, "dw", b_coarse, pts)
     mesh = fine_p.mesh
     err_b = _l2_norm(mesh, rule, b_coarse - b_fine) / _l2_norm(mesh, rule, b_fine)
     err_h = _l2_norm(mesh, rule, h_coarse - h_fine) / _l2_norm(mesh, rule, h_fine)

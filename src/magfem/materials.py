@@ -265,14 +265,17 @@ class BrauerLaw(IsotropicLaw):
 def build_law(kind, params):
     """Material law of the named kind from a mapping of named parameters.
 
-    Values may be numbers or numeric strings. Brauer coefficients default
-    to the standard soft-iron set; the anisotropic law's n11 and n22 are
-    required.
+    Values may be numbers or numeric strings and must be finite. Brauer
+    coefficients default to the standard soft-iron set; the anisotropic
+    law's n11 and n22 are required.
     """
 
     def get(name, default=None):
         if name in params:
-            return float(params[name])
+            value = float(params[name])
+            if not np.isfinite(value):
+                raise ValueError(f"{kind} law parameter {name!r} must be finite, got {value}")
+            return value
         if default is None:
             raise ValueError(f"{kind} law needs parameter {name!r}")
         return default

@@ -158,6 +158,11 @@ class Mesh:
         ):
             raise MeshError("boundary edge vertex index out of range")
 
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise MeshError(f"vertex {bad} has non-finite coordinates {self.vertices[bad]}")
+
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         bbox_area = max(float((hi[0] - lo[0]) * (hi[1] - lo[1])), np.finfo(float).tiny)

@@ -221,15 +221,15 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     residual norm falls below its tolerance (both relative to the first
     iteration). The backtracking grid starts at tau = 1; exceeding
     max_backtracks raises LineSearchError, exceeding max_iter returns a
-    non-converged report. Passing a list as `history` collects a copy of
-    every iterate's free-dof vector (initial value included).
+    non-converged report, and so does a non-finite residual norm or
+    energy (failure "non_finite"). Passing a list as `history` collects a
+    copy of every iterate's free-dof vector (initial value included).
     """
     space = problem.space
     a = zero_coefficients(space) if a0 is None else a0
     vec = a.values.copy()
     if history is not None:
         history.append(vec.copy())
-    K = assembly.assemble_unit_stiffness(problem)
     gamma, lip, q, tau_floor = _certified(problem, cfg)
 
     records = []
@@ -247,6 +247,9 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     inc_ref = None
 
     for n in range(cfg.max_iter + 1):
+        if not (np.isfinite(res_norm) and np.isfinite(energy)):
+            failure = "non_finite"
+            break
         if res_ref is None and res_norm > 0.0:
             res_ref = res_norm
         if res_norm <= max(cfg.tol_residual * (res_ref or 0.0), res_floor):
@@ -258,7 +261,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
 
         hess = assembly.assemble_hessian(problem, CoefficientVector(space, vec))
         delta, cg_info = solve_cg(hess, -res, cfg.cg)
-        inc_norm = float(np.sqrt(max(delta @ (K @ delta), 0.0)))
+        inc_norm = assembly.curl_norm(problem, delta)
         if inc_ref is None and inc_norm > 0.0:
             inc_ref = inc_norm
 

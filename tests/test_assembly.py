@@ -101,12 +101,11 @@ def test_residual_at_zero_is_minus_load():
     problem = _problem(mf.LinearIsotropic(3.0), n=3, hs=hs)
     res = assemble_residual(problem, mf.zero_coefficients(problem.space))
     # dw(0) = 0, so the residual is exactly the negated load vector
-    data = problem._data()
     wq = problem.rule.weights[None, :] * problem.space.element_areas[:, None]
     from magfem.femspace import tabulate_curl
 
     curls = tabulate_curl(problem.space, problem.rule)
-    cell = np.einsum("eq,eqi,eqli->el", wq, data.hs, curls)
+    cell = np.einsum("eq,eqi,eqli->el", wq, problem.hs, curls)
     load = np.zeros(problem.space.num_dofs)
     np.add.at(load, problem.space.conn.ravel(), cell.ravel())
     assert np.allclose(res, -load[~problem.space.constrained], atol=1e-14)
@@ -214,3 +213,68 @@ def test_assembled_matrix_deterministic(brauer_law):
     H2 = assemble_hessian(problem, coeffs)
     assert (H1 != H2).nnz == 0
     assert np.array_equal(H1.data, H2.data)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("bench", ["brauer", "pm_toy"])
+def test_curl_norm_equals_unit_stiffness_form(bench, order, brauer_law):
+    # Newton's increment norm is the quadrature sum of |Curl v|^2; the unit
+    # stiffness uses the same rule, which is exact for it (P1-P4)
+    from magfem.harness import pm_toy_benchmark, problem_at_level
+
+    if bench == "pm_toy":
+        problem = problem_at_level(pm_toy_benchmark(), 0, order=order)
+    else:
+        problem = _problem(brauer_law, n=3, order=order)
+    v = rng(order).normal(size=problem.space.n_free)
+    K = assemble_unit_stiffness(problem)
+    assert mf.curl_norm(problem, v) ** 2 == pytest.approx(v @ (K @ v), rel=1e-12)
+
+
+def _state(obj):
+    """Identity of every attribute, and of the items of dict attributes."""
+    return {
+        name: (id(value), {k: id(x) for k, x in value.items()} if isinstance(value, dict) else None)
+        for name, value in vars(obj).items()
+    }
+
+
+def _arrays(obj):
+    for name, value in vars(obj).items():
+        if isinstance(value, dict):
+            yield from ((f"{name}[{k}]", x) for k, x in value.items() if isinstance(x, np.ndarray))
+        elif isinstance(value, np.ndarray):
+            yield name, value
+
+
+@pytest.mark.parametrize("source", ["hs", "js"])
+def test_problem_is_complete_and_read_only_after_construction(source, brauer_law):
+    from magfem.harness import _error_rule
+
+    samples = []  # caller-owned source arrays keep their own flags
+
+    def hs(x):
+        samples.append(np.full((len(x), 2), 20.0))
+        return samples[-1]
+
+    if source == "hs":
+        problem = _problem(brauer_law, n=3, order=1, hs=hs)
+        assert samples[0].flags.writeable
+    else:
+        problem = _problem(brauer_law, n=3, order=1, js={1: 50.0})
+    before = (_state(problem), _state(problem.space))
+    coeffs, report = mf.newton_solve(problem)
+    assert report.converged
+    mf.fields_at_quadrature(problem, coeffs, rule=_error_rule(problem.order))
+    assert (_state(problem), _state(problem.space)) == before
+    arrays = list(_arrays(problem)) + list(_arrays(problem.space))
+    assert {"curls", "points", "values", "wq", "conn"} <= {name for name, _ in arrays}
+    assert [name for name, arr in arrays if arr.flags.writeable] == []
+
+
+def test_newton_does_not_assemble_unit_stiffness(small_brauer_problem, monkeypatch):
+    def forbidden(problem):
+        raise AssertionError("newton_solve assembled the unit stiffness")
+
+    monkeypatch.setattr("magfem.assembly.assemble_unit_stiffness", forbidden)
+    assert mf.newton_solve(small_brauer_problem)[1].converged

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
 
 import magfem as mf
 from magfem.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
@@ -285,3 +291,69 @@ def test_solve_config_missing_required_param_names_it(tmp_path, capsys):
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")])
     assert code == EXIT_USAGE
     assert "'n11'" in capsys.readouterr().err
+
+
+def test_solve_overflowed_residual_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG.replace("region.1 = 2000.0", "region.1 = 1e300"))
+    out = tmp_path / "t.json"
+    with np.errstate(over="ignore"):
+        code = main(["solve", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_SOLVER
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False
+    assert doc["failure"] == "non_finite"
+    assert "non_finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, key",
+    [
+        ("form = hs\nhs_x = nan", "hs_x"),
+        ("form = hs\nhs_y = -inf", "hs_y"),
+        ("form = js\nregion.1 = inf", "region.1"),
+    ],
+)
+def test_solve_non_finite_source_value_names_key(tmp_path, capsys, source, key):
+    cfg = _write(tmp_path, "run.ini", BASE_CONFIG.replace("form = none", source))
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")])
+    assert code == EXIT_USAGE
+    assert f"[source] {key} must be finite" in capsys.readouterr().err
+
+
+def test_material_check_rejects_non_finite_param(capsys):
+    code = main(["material-check", "--material", "linear", "--params", "nu=nan"])
+    assert code == EXIT_USAGE
+    assert "'nu' must be finite" in capsys.readouterr().err
+
+
+def test_solve_mesh_with_nan_vertex_is_io_error(tmp_path, capsys):
+    text = mf.serialize_mesh(mf.generate_unit_square(2)).replace("\n1 0 0\n", "\n1 nan 0\n", 1)
+    assert "\n1 nan 0\n" in text
+    mesh_path = tmp_path / "m.txt"
+    mesh_path.write_text(text)
+    cfg = _write(tmp_path, "run.ini", PM_CONFIG)
+    code = main(["solve", "--config", cfg, "--mesh", str(mesh_path), "--out", str(tmp_path / "t.json")])
+    assert code == EXIT_IO
+    assert "non-finite" in capsys.readouterr().err
+
+
+def _magfem(hash_seed, *args):
+    """Run the magfem command line in a fresh interpreter; fails on a nonzero exit."""
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    subprocess.run([sys.executable, "-m", "magfem.cli", *args], env=env, check=True,
+                   capture_output=True, timeout=300)
+
+
+def test_cli_outputs_are_deterministic(tmp_path):
+    # two fresh processes with different hash seeds write byte-identical files
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG)
+    outputs = []
+    for seed in ("1", "2"):
+        tele, fields, study = (tmp_path / f"{seed}.{ext}" for ext in ("json", "fields.csv", "study.csv"))
+        _magfem(seed, "solve", "--config", cfg, "--out", str(tele), "--fields", str(fields))
+        _magfem(seed, "study", "--benchmark", "manufactured", "--degree", "1", "--levels", "2",
+                "--csv", str(study))
+        outputs.append([p.read_bytes() for p in (tele, fields, study)])
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0])

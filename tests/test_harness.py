@@ -272,6 +272,20 @@ def test_study_abort_carries_partial_rows():
     assert err.value.rows == []
 
 
+def test_study_stops_on_overflowed_residual():
+    bench = harness.Benchmark(
+        name="overflow",
+        base_mesh=mf.generate_unit_square(2),
+        materials={1: mf.brauer_reference()},
+        dirichlet_tags=frozenset({1}),
+        error_mode="successive-refinement",
+        js_density={1: 1e300},
+    )
+    with np.errstate(over="ignore"), pytest.raises(harness.StudyError, match="non_finite") as err:
+        run_study(bench, order=1, levels=2)
+    assert err.value.rows == []
+
+
 def test_write_study_csv_format(tmp_path, linear_study_rows):
     path = tmp_path / "study.csv"
     text = write_study_csv(linear_study_rows, path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magfem as mf
-from magfem.materials import NU0, certify_bounds, material_eval, radial_samples
+from magfem.materials import NU0, build_law, certify_bounds, material_eval, radial_samples
 
 from conftest import rng
 
@@ -110,6 +110,19 @@ def test_permanent_magnet_example():
 def test_non_finite_flux_rejected(brauer):
     with pytest.raises(ValueError):
         brauer.w(np.zeros((1, 2)), np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [
+        ("linear", {"nu": "nan"}, "nu"),
+        ("brauer", {"k2": float("inf")}, "k2"),
+        ("anisotropic", {"n11": 1.0, "n22": 1.0, "n12": float("nan")}, "n12"),
+    ],
+)
+def test_build_law_rejects_non_finite_parameter(kind, params, name):
+    with pytest.raises(ValueError, match=f"parameter '{name}' must be finite"):
+        build_law(kind, params)
 
 
 # -- derivative consistency ----------------------------------------------------

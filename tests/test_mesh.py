@@ -217,6 +217,18 @@ def test_vertex_index_out_of_range_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertex_rejected(bad):
+    with pytest.raises(mf.MeshError, match="vertex 2 has non-finite coordinates"):
+        Mesh(
+            [(0.0, 0.0), (1.0, 0.0), (bad, 1.0)],
+            [(0, 1, 2)],
+            [1],
+            [(0, 1), (1, 2), (2, 0)],
+            [1, 1, 1],
+        )
+
+
 def test_refinement_stays_conforming_on_disc():
     from magfem.harness import disc_mesh
 

@@ -170,6 +170,23 @@ def test_newton_respects_max_iter(small_brauer_problem):
     assert report.n_iterations == 2
 
 
+def test_newton_stops_on_overflowed_residual(brauer_law):
+    # a finite 1e300 current density overflows the residual norm to inf,
+    # which must not pass the (then also infinite) rounding-floor test
+    problem = mf.Problem(
+        mesh=mf.generate_unit_square(4),
+        order=1,
+        materials={1: brauer_law},
+        dirichlet_tags=frozenset({1}),
+        js_density={1: 1e300},
+    )
+    with np.errstate(over="ignore"):
+        _, report = mf.newton_solve(problem)
+    assert not report.converged
+    assert report.failure == "non_finite"
+    assert report.n_iterations == 0
+
+
 def test_newton_step_floor_with_certified_bounds(small_brauer_problem):
     coeffs, report = mf.newton_solve(small_brauer_problem)
     assert report.tau_floor == pytest.approx(
@@ -383,8 +400,7 @@ def test_history_matches_report(small_brauer_problem):
 
 def test_concurrent_solves_on_shared_problem_match_serial():
     # The README says independent solves may run concurrently. Four workers
-    # share one freshly built Problem (so its lazy tabulation caches fill
-    # under contention) and a tiny switch interval forces frequent thread
+    # share one Problem and a tiny switch interval forces frequent thread
     # switches; every result must equal the serial one bit for bit.
     import sys
     from concurrent.futures import ThreadPoolExecutor
