@@ -124,18 +124,17 @@ def _eval_on_parent(coarse_problem, coarse_coeffs, fine_ne, rule):
     Relies on refine_uniform's child layout: fine element 4t+c sits in
     parent t under the fixed affine embedding of child c.
     """
-    nq = len(rule)
-    ref = np.broadcast_to(rule.points[None], (fine_ne, nq, 2)).copy()
-    child = np.arange(fine_ne) % 4
+    space = coarse_problem.space
+    local = coarse_coeffs.full()[space.conn]  # (n_parent, n_local)
+    b = np.empty((fine_ne, len(rule), 2))
     for c in range(4):
-        rows = child == c
         M, off = child_reference_map(c)
-        ref[rows] = ref[rows] @ M.T + off
-    parents = np.repeat(np.arange(fine_ne) // 4, nq)
-    b = femspace.eval_curl_batch(
-        coarse_problem.space, coarse_coeffs, parents, ref.reshape(-1, 2)
-    )
-    return b.reshape(fine_ne, nq, 2)
+        grads = femspace._shape_gradients(space.degree, rule.points @ M.T + off)
+        ref_grad = np.einsum("tl,qlj->tqj", local, grads)
+        b[c::4] = femspace._curl_from_grad(
+            np.einsum("tji,tqj->tqi", space.element_inverse, ref_grad)
+        )
+    return b
 
 
 def solve_level(benchmark, level, cfg, order=None):

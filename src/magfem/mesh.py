@@ -66,6 +66,10 @@ class Mesh:
         Row of `edges` for each triangle's local edges (0,1), (1,2), (2,0).
     boundary_edge_ids : (nb,) int array
         Row of `edges` for each listed boundary edge.
+    parent : Mesh or None
+        The mesh this one was refined from by :func:`refine_uniform`, whose
+        triangle t holds children 4t..4t+3; None for generated, parsed and
+        re-tagged meshes. Multigrid walks it down to the base mesh.
 
     The edge table is built once, by validation, and is read-only.
     """
@@ -78,13 +82,15 @@ class Mesh:
     edges: np.ndarray
     triangle_edges: np.ndarray
     boundary_edge_ids: np.ndarray
+    parent: object
 
-    def __init__(self, vertices, triangles, region_tag, boundary_edges, boundary_tag):
+    def __init__(self, vertices, triangles, region_tag, boundary_edges, boundary_tag, parent=None):
         object.__setattr__(self, "vertices", _frozen(vertices, float))
         object.__setattr__(self, "triangles", _frozen(triangles, np.int64))
         object.__setattr__(self, "region_tag", _frozen(region_tag, np.int64))
         object.__setattr__(self, "boundary_edges", _frozen(boundary_edges, np.int64))
         object.__setattr__(self, "boundary_tag", _frozen(boundary_tag, np.int64))
+        object.__setattr__(self, "parent", parent)
         self._validate()
 
     def __repr__(self):
@@ -281,7 +287,8 @@ def refine_uniform(mesh):
     Region and boundary tags are inherited; the result is conforming and
     the maximal edge length halves. Children of parent t occupy indices
     4t..4t+3 (three corner children then the medial triangle), which
-    cross-level evaluation depends on.
+    cross-level evaluation and multigrid depend on; the result's `parent`
+    is `mesh`.
     """
     nv = mesh.num_vertices
     u, v = mesh.edges.T
@@ -298,7 +305,7 @@ def refine_uniform(mesh):
     boundary_edges = np.stack([a, m, m, b], axis=1).reshape(-1, 2)
     boundary_tag = np.repeat(mesh.boundary_tag, 2)
 
-    return Mesh(vertices, triangles, region_tag, boundary_edges, boundary_tag)
+    return Mesh(vertices, triangles, region_tag, boundary_edges, boundary_tag, parent=mesh)
 
 
 def child_reference_map(child_index):

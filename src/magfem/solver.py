@@ -1,8 +1,8 @@
 """Damped Newton with Armijo backtracking, plus the fixed-point reference.
 
 The outer iteration minimizes the discrete magnetic energy. Each step
-solves the symmetric positive definite Newton system with (optionally
-Jacobi-preconditioned) conjugate gradients, backtracks over the step
+solves the symmetric positive definite Newton system with preconditioned
+conjugate gradients, backtracks over the step
 grid 1, rho, rho^2, ... until the Armijo decrease condition holds, and
 records telemetry: energy, residual norm, step size, backtrack count,
 curl norm of the increment, and inner iteration count. With certified
@@ -14,6 +14,12 @@ checks against the observed run.
 Stopping tolerances are relative to the first iteration's residual norm
 and increment norm, which keeps iteration counts comparable across mesh
 refinement levels.
+
+The preconditioner follows the mesh: on a mesh from `refine_uniform`
+each solve builds a multigrid V-cycle over the refinement hierarchy (see
+`multigrid.hierarchy`), whose CG iteration counts stay flat under
+refinement; on any other mesh, or when the hierarchy does not apply, it
+is Jacobi. `CGConfig.jacobi = False` turns preconditioning off.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from . import assembly
+from . import assembly, multigrid
 from .femspace import CoefficientVector, zero_coefficients
 
 
@@ -128,8 +134,12 @@ class CGInfo:
     residual_norm: float
 
 
-def solve_cg(matrix, rhs, cfg=CGConfig()):
+def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     """Preconditioned conjugate gradients for an SPD sparse system.
+
+    With `cfg.jacobi` the preconditioner is a multigrid V-cycle over
+    `prolongations` (from `multigrid.hierarchy`), built here from
+    `matrix`, or Jacobi when there are none; without it CG is plain.
 
     Iterates until the recursive residual satisfies
     ||r||_2 <= rel_tol ||rhs||_2, then measures the true residual and, if
@@ -149,17 +159,27 @@ def solve_cg(matrix, rhs, cfg=CGConfig()):
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(1000, 5 * n)
     tol = cfg.rel_tol * b_norm
 
-    if cfg.jacobi:
+    if not cfg.jacobi:
+        def precondition(r):
+            return r
+    else:
         diag = matrix.diagonal()
         if np.any(diag <= 0):
             raise SolverError("matrix diagonal not positive; not SPD")
-        inv_diag = 1.0 / diag
-    else:
-        inv_diag = None
+        if prolongations:
+            try:
+                precondition = multigrid.VCycle(matrix, prolongations)
+            except np.linalg.LinAlgError:
+                raise SolverError("coarse operator not positive definite; not SPD") from None
+        else:
+            inv_diag = 1.0 / diag
+
+            def precondition(r):
+                return r * inv_diag
 
     x = np.zeros(n)
     r = rhs.copy()
-    z = r * inv_diag if inv_diag is not None else r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
@@ -177,7 +197,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig()):
             best_true = min(best_true, true_res)
             refinements += 1
             r = true_r
-            z = r * inv_diag if inv_diag is not None else r
+            z = precondition(r)
             p = z.copy()
             rz = float(r @ z)
         Ap = matrix @ p
@@ -188,7 +208,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig()):
         x += alpha * p
         r -= alpha * Ap
         iterations += 1
-        z = r * inv_diag if inv_diag is not None else r
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -231,18 +251,21 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     if history is not None:
         history.append(vec.copy())
     gamma, lip, q, tau_floor = _certified(problem, cfg)
+    prolongations = multigrid.hierarchy(space) if cfg.cg.jacobi else ()
 
     records = []
     converged = False
     failure = None
-    res = assembly.assemble_residual(problem, CoefficientVector(space, vec))
-    energy = assembly.assemble_energy(problem, CoefficientVector(space, vec))
-    res_norm = float(np.linalg.norm(res))
-    # rounding floor: residual entries are cancelling sums, so anything at
-    # eps times their magnitude is numerically zero
-    res_floor = 64.0 * np.finfo(float).eps * assembly.residual_scale(
-        problem, CoefficientVector(space, vec)
-    )
+    # an overflow here is reported as failure "non_finite", not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = assembly.assemble_residual(problem, CoefficientVector(space, vec))
+        energy = assembly.assemble_energy(problem, CoefficientVector(space, vec))
+        res_norm = float(np.linalg.norm(res))
+        # rounding floor: residual entries are cancelling sums, so anything at
+        # eps times their magnitude is numerically zero
+        res_floor = 64.0 * np.finfo(float).eps * assembly.residual_scale(
+            problem, CoefficientVector(space, vec)
+        )
     res_ref = None
     inc_ref = None
 
@@ -260,7 +283,8 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
             break
 
         hess = assembly.assemble_hessian(problem, CoefficientVector(space, vec))
-        delta, cg_info = solve_cg(hess, -res, cfg.cg)
+        delta, cg_info = solve_cg(hess, -res, cfg.cg, prolongations=prolongations)
+        del hess  # not alive through the next step's assembly peak
         inc_norm = assembly.curl_norm(problem, delta)
         if inc_ref is None and inc_norm > 0.0:
             inc_ref = inc_norm
@@ -297,8 +321,9 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         energy = trial_energy
         if history is not None:
             history.append(vec.copy())
-        res = assembly.assemble_residual(problem, CoefficientVector(space, vec))
-        res_norm = float(np.linalg.norm(res))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = assembly.assemble_residual(problem, CoefficientVector(space, vec))
+            res_norm = float(np.linalg.norm(res))
         if inc_norm <= cfg.tol_increment * (inc_ref or 0.0):
             converged = True
             break
@@ -331,6 +356,7 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
     a = zero_coefficients(space) if a0 is None else a0
     vec = a.values.copy()
     K = assembly.assemble_unit_stiffness(problem)
+    prolongations = multigrid.hierarchy(space) if cfg.cg.jacobi else ()
     gamma, lip, q, tau_floor = _certified(problem, cfg)
     if gamma is not None and tau >= 2.0 * gamma / lip**2:
         warnings.warn(
@@ -349,7 +375,7 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
         coeffs = CoefficientVector(space, vec)
         res = assembly.assemble_residual(problem, coeffs)
         energy = assembly.assemble_energy(problem, coeffs)
-        delta, cg_info = solve_cg(K, -tau * res, cfg.cg)
+        delta, cg_info = solve_cg(K, -tau * res, cfg.cg, prolongations=prolongations)
         inc_norm = float(np.sqrt(max(delta @ (K @ delta), 0.0)))
         records.append(
             IterationRecord(

@@ -305,6 +305,20 @@ def test_solve_overflowed_residual_exits_2(tmp_path, capsys):
     assert "non_finite" in capsys.readouterr().err
 
 
+def test_solve_overflowed_residual_prints_no_numpy_warning(tmp_path):
+    # a fresh interpreter with numpy's default error handling and warnings shown
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG.replace("region.1 = 2000.0", "region.1 = 1e300"))
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "magfem.cli", "solve", "--config", cfg,
+         "--out", str(tmp_path / "t.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == EXIT_SOLVER
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.splitlines()[0] == "solver did not converge: non_finite"
+
+
 @pytest.mark.parametrize(
     "source, key",
     [

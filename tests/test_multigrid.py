@@ -1,0 +1,199 @@
+"""Multigrid over the refinement hierarchy: prolongations, V-cycle, fallbacks."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
+
+import magfem as mf
+from magfem import assembly, harness, multigrid, solver
+from magfem.femspace import CoefficientVector, build_space, interpolate
+
+PROLONGATION_TOL = 1e-12      # relative, max-norm
+SYMMETRY_TOL = 1e-12          # relative to the largest preconditioner entry
+SMOOTHER_BOUND = 2.0          # x += W (r - A x) converges iff lambda_max(W A) < 2
+MAX_CG_PER_NEWTON_STEP = 20   # manufactured k=1, levels 1-3
+SAME_SOLUTION_TOL = 1e-10     # relative curl norm, multigrid vs Jacobi
+BASE_P1_DOFS_40 = 39 * 39     # interior vertices of generate_unit_square(40)
+
+
+def _dirichlet_on_line(mesh):
+    """Mesh whose Dirichlet tag 1 covers the boundary on the line through its
+    first boundary edge (tag 2 elsewhere), plus that line's linear function."""
+    u, v = mesh.vertices[mesh.boundary_edges[0]]
+    normal = np.array([u[1] - v[1], v[0] - u[0]])
+
+    def line(x):
+        return (np.atleast_2d(x) - u) @ normal
+
+    ends = mesh.vertices[mesh.boundary_edges]
+    on = np.all(np.abs(line(ends.reshape(-1, 2)).reshape(-1, 2)) < 1e-12, axis=1)
+    tags = np.where(on, 1, 2)
+    return mf.Mesh(mesh.vertices, mesh.triangles, mesh.region_tag, mesh.boundary_edges, tags), line
+
+
+def test_only_refinement_sets_parent():
+    base = mf.generate_unit_square(2)
+    fine = mf.refine_uniform(base)
+    assert fine.parent is base and base.parent is None
+    assert mf.with_region_tags(fine, fine.region_tag).parent is None
+    assert mf.parse_mesh(mf.serialize_mesh(fine)).parent is None
+
+
+def _chain(space):
+    """The hierarchy's spaces: P_p on each mesh down to the base, then P1 there."""
+    meshes = [space.mesh]
+    while meshes[-1].parent is not None:
+        meshes.append(meshes[-1].parent)
+    spaces = [build_space(m, space.degree, space.dirichlet_tags) for m in meshes]
+    return spaces + [build_space(meshes[-1], 1, space.dirichlet_tags)]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("base", ["unit_square", "disc"])
+def test_prolongation_maps_coarse_interpolant_to_fine_interpolant(base, degree):
+    mesh = mf.generate_unit_square(3) if base == "unit_square" else harness.disc_mesh(2)
+    mesh, line = _dirichlet_on_line(mesh)
+    fine = build_space(mf.refine_uniform(mf.refine_uniform(mesh)), degree, {1})
+
+    def poly(x):  # degree p, zero on the Dirichlet line
+        x = np.atleast_2d(x)
+        return line(x) * (1.0 + x[:, 0] - 2.0 * x[:, 1]) ** (degree - 1)
+
+    steps = multigrid.hierarchy(fine)
+    spaces = _chain(fine)
+    assert len(steps) == (3 if degree > 1 else 2)
+    for i, P in enumerate(steps):
+        f = poly if spaces[i + 1].degree == degree else line  # P_p -> P1 step: linear
+        want = interpolate(spaces[i], f).values
+        got = P @ interpolate(spaces[i + 1], f).values
+        assert np.max(np.abs(got - want)) <= PROLONGATION_TOL * np.max(np.abs(want))
+
+
+def _hessian(case, order):
+    """A Newton Hessian on a refined mesh: at the manufactured exact solution
+    (deep in the nonlinear range), or at pm_toy's first Newton iterate, where
+    saturated iron makes it strongly anisotropic."""
+    if case == "manufactured":
+        bench = harness.manufactured_benchmark(base_n=2)
+        problem = harness.problem_at_level(bench, 1, order=order)
+        state = interpolate(problem.space, bench.exact_potential)
+    else:
+        problem = harness.problem_at_level(harness.pm_toy_benchmark(base_n=5), 1, order=order)
+        history = []
+        solver.newton_solve(problem, cfg=solver.NewtonConfig(max_iter=1), history=history)
+        state = CoefficientVector(problem.space, history[1])
+    return problem, assembly.assemble_hessian(problem, state)
+
+
+def _vcycle(case, order):
+    problem, A = _hessian(case, order)
+    return A, multigrid.VCycle(A, multigrid.hierarchy(problem.space))
+
+
+def _lambda_max(A, weights):
+    root = sp.diags(np.sqrt(weights))
+    return eigsh(root @ A @ root, k=1, which="LA", return_eigenvectors=False)[0]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["manufactured", "pm_toy"])
+def test_vcycle_is_symmetric_positive_definite(case, order):
+    A, vcycle = _vcycle(case, order)
+    M = np.column_stack([vcycle(e) for e in np.eye(A.shape[0])])
+    scale = np.max(np.abs(M))
+    assert np.max(np.abs(M - M.T)) <= SYMMETRY_TOL * scale
+    assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["manufactured", "pm_toy"])
+def test_smoother_converges_on_every_level(case, order):
+    _, vcycle = _vcycle(case, order)
+    for A_level, weights, _, _ in vcycle.levels:
+        assert _lambda_max(A_level, weights) < SMOOTHER_BOUND
+
+
+def test_plain_damped_jacobi_would_diverge_on_saturated_p4():
+    # why the smoother weights are capped: omega / a_ii alone fails here
+    A, _ = _vcycle("pm_toy", 3)
+    assert _lambda_max(A, multigrid.OMEGA / A.diagonal()) > SMOOTHER_BOUND
+
+
+def test_cg_iterations_stay_flat_under_refinement():
+    bench = harness.manufactured_benchmark()
+    for level in (1, 2, 3):
+        _, report = solver.newton_solve(harness.problem_at_level(bench, level, order=1))
+        assert report.converged
+        assert max(rec.cg_iters for rec in report.iterations) <= MAX_CG_PER_NEWTON_STEP
+
+
+def _solve(mesh, order, dirichlet, law=None, **source):
+    problem = assembly.Problem(
+        mesh=mesh, order=order, materials={1: law or mf.brauer_reference()},
+        dirichlet_tags=frozenset(dirichlet), **source,
+    )
+    coeffs, report = solver.newton_solve(problem)
+    return problem, coeffs, report
+
+
+_field = harness.manufactured_benchmark().hs_field
+
+
+def _source(x):
+    x = np.atleast_2d(x)
+    return np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2])
+
+
+def test_hierarchy_is_empty_for_parsed_mesh():
+    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(4))))
+    assert mesh.parent is None
+    problem, _, report = _solve(mesh, 1, {1}, hs_field=_field)
+    assert multigrid.hierarchy(problem.space) == ()
+    assert report.converged
+
+
+def test_hierarchy_is_empty_without_constrained_dofs():
+    mesh = mf.refine_uniform(mf.generate_unit_square(4))
+    # singular but consistent: Curl 1 = 0, so the load is orthogonal to the constants
+    problem, _, report = _solve(mesh, 1, set(), mf.LinearIsotropic(1.0), hs_field=_source)
+    assert not problem.space.constrained.any()
+    assert multigrid.hierarchy(problem.space) == ()
+    assert report.converged
+
+
+def test_hierarchy_is_empty_for_base_over_the_coarse_cap():
+    mesh = mf.refine_uniform(mf.generate_unit_square(40))
+    assert build_space(mesh.parent, 1, {1}).n_free == BASE_P1_DOFS_40 > multigrid.MAX_COARSE_DOFS
+    problem, _, report = _solve(mesh, 0, {1}, js_density=lambda x: np.full(len(x), 1e3))
+    assert multigrid.hierarchy(problem.space) == ()
+    assert report.converged
+
+
+def test_multigrid_and_jacobi_give_the_same_solution():
+    refined = harness.mesh_at_level(harness.manufactured_benchmark(base_n=4), 2)
+    copy = mf.Mesh(
+        refined.vertices, refined.triangles, refined.region_tag,
+        refined.boundary_edges, refined.boundary_tag,
+    )
+    assert refined.parent is not None and copy.parent is None
+    problem, a_mg, report_mg = _solve(refined, 1, {1}, hs_field=_field)
+    _, a_jac, report_jac = _solve(copy, 1, {1}, hs_field=_field)
+    assert multigrid.hierarchy(problem.space) != ()
+    assert report_mg.converged and report_jac.converged
+    assert report_mg.n_iterations == report_jac.n_iterations
+    diff = assembly.curl_norm(problem, a_mg.values - a_jac.values)
+    assert diff <= SAME_SOLUTION_TOL * assembly.curl_norm(problem, a_mg.values)
+
+
+def test_indefinite_matrix_with_multigrid_raises_solver_error():
+    # positive diagonal, but negative on smooth vectors: the Galerkin coarse
+    # operator is indefinite
+    mesh = mf.refine_uniform(mf.generate_unit_square(4))
+    problem = assembly.Problem(
+        mesh=mesh, order=0, materials={1: mf.LinearIsotropic(1.0)}, dirichlet_tags=frozenset({1}),
+    )
+    K = assembly.assemble_unit_stiffness(problem)
+    A = (K - sp.diags(0.5 * K.diagonal())).tocsr()
+    with pytest.raises(solver.SolverError, match="not SPD"):
+        solver.solve_cg(A, np.ones(A.shape[0]), prolongations=multigrid.hierarchy(problem.space))
