@@ -3,9 +3,11 @@
 All three quantities are evaluated with one quadrature rule (exactness at
 least twice the curl degree), so the assembled residual is the exact
 gradient of the assembled energy and the Hessian its exact Jacobian.
-Element contributions are computed in vectorized batches and scattered
-into scipy sparse matrices through a fixed coordinate ordering, making
-assembled operators bit-reproducible on a given platform.
+Element contributions are computed in vectorized batches (explicit
+batched matrix products, never a contraction order chosen at run time) and
+summed into a CSR sparsity pattern built once per `Problem`, filled in a
+fixed order, making assembled operators bit-reproducible on a given
+platform.
 """
 
 from __future__ import annotations
@@ -36,7 +38,12 @@ class Problem:
     the default quadrature is exact to degree 2k.
 
     Everything an assembly reads is tabulated once, at construction, into
-    the read-only arrays below; nothing is assigned afterwards.
+    the read-only arrays below; nothing is assigned afterwards. The basis
+    curls are stored element-major, so that every contraction with them is
+    a batched matrix product over elements. The free-dof operators share
+    one CSR pattern (`indices`, `indptr`, with nnz entries); `slots` sends
+    each local entry (e, i, j) to its position in the CSR data, and every
+    entry that touches a constrained dof to the one trailing slot nnz.
     """
 
     mesh: object
@@ -49,12 +56,15 @@ class Problem:
     space: femspace.FESpace = field(init=False)
     rule: object = field(init=False)
     points: np.ndarray = field(init=False)  # (ne, nq, 2) mapped quadrature points
-    curls: np.ndarray = field(init=False)   # (ne, nq, n_local, 2) basis curls
+    curls: np.ndarray = field(init=False)   # (ne, n_local, nq, 2) basis curls
     values: np.ndarray = field(init=False)  # (nq, n_local) basis values
     wq: np.ndarray = field(init=False)      # (ne, nq) weights times element areas
     region_rows: dict = field(init=False)   # {region tag: element indices}
     hs: np.ndarray = field(init=False)      # (ne, nq, 2) source field samples, or None
     js: np.ndarray = field(init=False)      # (ne, nq) current density samples, or None
+    slots: np.ndarray = field(init=False)   # (ne, n_local, n_local) CSR slot per local entry
+    indices: np.ndarray = field(init=False)  # (nnz,) CSR column indices, sorted per row
+    indptr: np.ndarray = field(init=False)  # (n_free + 1,) CSR row pointers
 
     def __post_init__(self):
         if self.hs_field is not None and self.js_density is not None:
@@ -86,22 +96,25 @@ class Problem:
             js = np.broadcast_to(per_element[:, None], (ne, nq)).copy()
         elif self.js_density is not None:
             js = np.asarray(self.js_density(flat_points), float).reshape(ne, nq)
-        curls = femspace.tabulate_curl(space, rule)
+        curls = np.ascontiguousarray(femspace.tabulate_curl(space, rule).transpose(0, 2, 1, 3))
         values = femspace.tabulate_values(space, rule)
         wq = rule.weights[None, :] * space.element_areas[:, None]
         region_rows = {
             tag: np.nonzero(mesh.region_tag == tag)[0]
             for tag in sorted(mesh.region_tags_present())
         }
+        slots, indices, indptr = _csr_pattern(space)
         # all fresh arrays; hs and js are reshaped views, so a caller-owned
         # base keeps its own flags
-        for arr in (points, curls, values, wq, hs, js, *region_rows.values()):
+        fresh = (points, curls, values, wq, hs, js, slots, indices, indptr)
+        for arr in (*fresh, *region_rows.values()):
             if arr is not None:
                 arr.flags.writeable = False
         for name, value in (
             ("quad_degree", degree), ("rule", rule), ("space", space),
             ("points", points), ("curls", curls), ("values", values), ("wq", wq),
             ("region_rows", region_rows), ("hs", hs), ("js", js),
+            ("slots", slots), ("indices", indices), ("indptr", indptr),
         ):
             object.__setattr__(self, name, value)
 
@@ -124,13 +137,50 @@ class Problem:
         return min(gammas), max(lips)
 
 
+def _csr_pattern(space):
+    """CSR pattern of the free-dof operators and each local entry's slot in it.
+
+    The int64 keys row * n + col of all (e, i, j) entries are sorted and
+    deduplicated once. Entries that touch a constrained dof all get the
+    key n * n, which sorts last, so they share the trailing slot nnz.
+    Returns (slots, indices, indptr), in int32 whenever nnz fits.
+    """
+    n = space.n_free
+    free = space.free_index[space.conn]  # (ne, nl), -1 where constrained
+    keys = free[:, :, None] * n + free[:, None, :]
+    keys[(free < 0)[:, :, None] | (free < 0)[:, None, :]] = n * n
+    unique, slots = np.unique(keys, return_inverse=True)
+    nnz = int(np.searchsorted(unique, n * n))
+    unique = unique[:nnz]
+    index = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(unique, np.arange(n + 1) * n)
+    return (
+        slots.reshape(keys.shape).astype(index),
+        (unique % n).astype(index),
+        indptr.astype(index),
+    )
+
+
 def _local_coeffs(problem, coeffs):
     return coeffs.full()[problem.space.conn]  # (ne, nl)
 
 
+def _integrate_against_curls(curls, g):
+    """Per-element sums of g . Curl phi_l over the points; (ne, nl).
+
+    `g` is (ne, nq, 2) and already carries the quadrature weights. The
+    sum runs over the points in order, x before y at each: a fixed order,
+    batched over elements and local functions.
+    """
+    cell = np.zeros(curls.shape[:2])
+    for q in range(curls.shape[2]):
+        cell += g[:, q, None, 0] * curls[:, :, q, 0] + g[:, q, None, 1] * curls[:, :, q, 1]
+    return cell
+
+
 def curl_at_quadrature(problem, coeffs):
     """Flux density b = Curl a_h at every quadrature point; (ne, nq, 2)."""
-    return np.einsum("el,eqli->eqi", _local_coeffs(problem, coeffs), problem.curls)
+    return np.einsum("el,elqi->eqi", _local_coeffs(problem, coeffs), problem.curls)
 
 
 def _material_apply(problem, name, b, points=None):
@@ -179,7 +229,7 @@ def assemble_residual(problem, coeffs):
     h = _material_apply(problem, "dw", b)  # (ne, nq, 2)
     if problem.hs is not None:
         h = h - problem.hs
-    cell = np.einsum("eq,eqi,eqli->el", problem.wq, h, problem.curls)
+    cell = _integrate_against_curls(problem.curls, problem.wq[..., None] * h)
     if problem.js is not None:
         cell -= np.einsum("eq,eq,ql->el", problem.wq, problem.js, problem.values)
 
@@ -202,7 +252,7 @@ def residual_scale(problem, coeffs):
     if problem.hs is not None:
         h = h + np.abs(problem.hs)
     wq = np.abs(problem.wq)  # the weights are positive
-    cell = np.einsum("eq,eqi,eqli->el", wq, h, np.abs(problem.curls))
+    cell = _integrate_against_curls(np.abs(problem.curls), wq[..., None] * h)
     if problem.js is not None:
         cell += np.einsum("eq,eq,ql->el", wq, np.abs(problem.js), np.abs(problem.values))
     res = np.zeros(space.num_dofs)
@@ -230,20 +280,26 @@ def assemble_unit_stiffness(problem):
 
 
 def _scatter_matrix(problem, nu_d):
-    space = problem.space
-    curls = problem.curls
-    cell = np.einsum("eq,eqli,eqij,eqmj->elm", problem.wq, curls, nu_d, curls)
+    """<nu_d Curl phi_j, Curl phi_i>_h over free dofs, as CSR on the problem's pattern.
 
-    nl = space.n_local
-    free = space.free_index[space.conn]  # (ne, nl), -1 where constrained
-    rows = np.repeat(free[:, :, None], nl, axis=2)
-    cols = np.repeat(free[:, None, :], nl, axis=1)
-    keep = (rows >= 0) & (cols >= 0)
-    n = space.n_free
-    mat = sp.coo_matrix(
-        (cell[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsr()
-    mat.sum_duplicates()
+    Two batched matrix products: u = Curl phi_l . (wq nu_d) at every point,
+    written element-major, then the element matrices as u Curl phi_m^T
+    contracted over the points and components. np.bincount then sums each
+    slot's entries in element order.
+    """
+    curls = problem.curls
+    ne, nl, nq, _ = curls.shape
+    t = problem.wq[..., None, None] * nu_d  # (ne, nq, 2, 2)
+    u = np.empty(curls.shape)
+    np.matmul(curls.transpose(0, 2, 1, 3), t, out=u.transpose(0, 2, 1, 3))
+    flat = curls.reshape(ne, nl, nq * 2)
+    cell = u.reshape(ne, nl, nq * 2) @ flat.transpose(0, 2, 1)  # (ne, nl, nl)
+    nnz = len(problem.indices)
+    data = np.bincount(problem.slots.ravel(), weights=cell.ravel(), minlength=nnz + 1)[:nnz]
+    n = problem.space.n_free
+    # the matrix owns its index arrays, so no scipy operation can reach the pattern
+    mat = sp.csr_matrix((data, problem.indices.copy(), problem.indptr.copy()), shape=(n, n))
+    mat.has_canonical_format = True  # sorted, duplicate-free columns by construction
     return mat
 
 

@@ -308,14 +308,6 @@ def eval_curl_batch(space, coeffs, elements, points):
     return np.einsum("nl,nli->ni", local, curl)
 
 
-def eval_value_batch(space, coeffs, elements, points):
-    """Values of the discrete potential at per-element reference points."""
-    elements = np.asarray(elements)
-    vals = _shape_values(space.degree, points)  # (n, n_local)
-    local = coeffs.full()[space.conn[elements]]
-    return np.sum(vals * local, axis=1)
-
-
 def interpolate(space, f):
     """Nodal interpolant of a point-function.
 

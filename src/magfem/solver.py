@@ -3,9 +3,11 @@
 The outer iteration minimizes the discrete magnetic energy. Each step
 solves the symmetric positive definite Newton system with preconditioned
 conjugate gradients, backtracks over the step
-grid 1, rho, rho^2, ... until the Armijo decrease condition holds, and
-records telemetry: energy, residual norm, step size, backtrack count,
-curl norm of the increment, and inner iteration count. With certified
+grid 1, rho, rho^2, ... until the Armijo decrease condition holds (or,
+where the decrease it demands is below the energy's rounding, its
+derivative form), and records telemetry: energy, residual norm, step size, backtrack count,
+curl norm of the increment, and the inner solve's iteration count,
+convergence flag and true residual norm. With certified
 convexity bounds (gamma, L) the report also carries the guaranteed
 contraction factor q = 1 - 4 rho sigma (1-sigma) (gamma/L)^3 and the
 step-size floor tau* = 2 rho (1-sigma) gamma/L, which the test suite
@@ -79,6 +81,8 @@ class IterationRecord:
     backtracks: int
     increment_norm: float
     cg_iters: int
+    cg_converged: bool
+    cg_residual: float
 
 
 @dataclass
@@ -234,16 +238,38 @@ def _certified(problem, cfg):
     return gamma, lip, q, tau_floor
 
 
+#: Relative rounding level of an assembled energy: a decrease demanded below
+#: ENERGY_ROUNDING * |W| cannot be told from the noise of the energy sum.
+ENERGY_ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def _approximate_wolfe(problem, trial, delta, slope, sigma):
+    """Hager-Zhang's approximate Armijo test on the exact directional derivative.
+
+    d/dtau W(a + tau delta) at the trial is res(trial) . delta, since the
+    residual is the exact gradient of the assembled energy. For a quadratic
+    energy, res(trial) . delta <= (2 sigma - 1) slope is the same condition
+    as Armijo's, and it needs no energy difference.
+    """
+    res = assembly.assemble_residual(problem, CoefficientVector(problem.space, trial))
+    return float(res @ delta) <= (2.0 * sigma - 1.0) * slope
+
+
 def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     """Minimize the discrete energy by damped Newton from a0 (default 0).
 
     Stops once the curl norm of the Newton increment or the Euclidean
     residual norm falls below its tolerance (both relative to the first
-    iteration). The backtracking grid starts at tau = 1; exceeding
+    iteration). The backtracking grid starts at tau = 1. Where the decrease
+    the Armijo test demands is below the energy's rounding level, a trial
+    that fails it is still accepted when the exact directional derivative
+    passes the approximate Wolfe test (Hager-Zhang, SIAM J. Optim. 16,
+    2005): comparing energies there compares rounding noise. Exceeding
     max_backtracks raises LineSearchError, exceeding max_iter returns a
-    non-converged report, and so does a non-finite residual norm or
-    energy (failure "non_finite"). Passing a list as `history` collects a
-    copy of every iterate's free-dof vector (initial value included).
+    non-converged report, and so does a non-finite residual norm, energy
+    or Newton direction (failure "non_finite"). Passing a list as
+    `history` collects a copy of every iterate's free-dof vector (initial
+    value included).
     """
     space = problem.space
     a = zero_coefficients(space) if a0 is None else a0
@@ -285,17 +311,26 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         hess = assembly.assemble_hessian(problem, CoefficientVector(space, vec))
         delta, cg_info = solve_cg(hess, -res, cfg.cg, prolongations=prolongations)
         del hess  # not alive through the next step's assembly peak
+        # = <dw(b) - h_s, Curl delta>_h < 0; res is finite here, so the slope
+        # is finite exactly when every entry of delta is
+        slope = float(res @ delta)
+        if not np.isfinite(slope):
+            failure = "non_finite"
+            break
         inc_norm = assembly.curl_norm(problem, delta)
         if inc_ref is None and inc_norm > 0.0:
             inc_ref = inc_norm
 
-        slope = float(res @ delta)  # = <dw(b) - h_s, Curl delta>_h < 0
         tau = 1.0
         backtracks = 0
         while True:
             trial = vec + tau * delta
             trial_energy = assembly.assemble_energy(problem, CoefficientVector(space, trial))
             if trial_energy <= energy + cfg.sigma * tau * slope:
+                break
+            if -cfg.sigma * tau * slope <= ENERGY_ROUNDING * abs(energy) and _approximate_wolfe(
+                problem, trial, delta, slope, cfg.sigma
+            ):
                 break
             backtracks += 1
             if backtracks > cfg.max_backtracks:
@@ -315,6 +350,8 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
                 backtracks=backtracks,
                 increment_norm=inc_norm,
                 cg_iters=cg_info.iterations,
+                cg_converged=cg_info.converged,
+                cg_residual=cg_info.residual_norm,
             )
         )
         vec = trial
@@ -386,6 +423,8 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
                 backtracks=0,
                 increment_norm=inc_norm,
                 cg_iters=cg_info.iterations,
+                cg_converged=cg_info.converged,
+                cg_residual=cg_info.residual_norm,
             )
         )
         if prev_inc is not None and prev_inc > 0.0:

@@ -77,3 +77,18 @@ def small_brauer_problem(brauer_law):
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+@pytest.fixture
+def nan_newton_direction(monkeypatch):
+    """Every inner solve returns its direction with a NaN first entry."""
+    from magfem import solver
+
+    real = solver.solve_cg
+
+    def broken(*args, **kwargs):
+        x, info = real(*args, **kwargs)
+        x[0] = np.nan
+        return x, info
+
+    monkeypatch.setattr(solver, "solve_cg", broken)

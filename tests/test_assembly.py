@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import magfem as mf
 from magfem.assembly import (
@@ -10,7 +11,8 @@ from magfem.assembly import (
     assemble_residual,
     assemble_unit_stiffness,
 )
-from magfem.femspace import CoefficientVector
+from magfem import assembly
+from magfem.femspace import CoefficientVector, tabulate_curl
 from magfem.materials import NU0
 
 from conftest import rng
@@ -213,6 +215,94 @@ def test_assembled_matrix_deterministic(brauer_law):
     H2 = assemble_hessian(problem, coeffs)
     assert (H1 != H2).nnz == 0
     assert np.array_equal(H1.data, H2.data)
+
+
+def _reference_operator(problem, nu_d):
+    """The four-operand einsum and a COO-to-CSR scatter of the element matrices."""
+    space = problem.space
+    curls = tabulate_curl(space, problem.rule)  # (ne, nq, nl, 2)
+    cell = np.einsum("eq,eqli,eqij,eqmj->elm", problem.wq, curls, nu_d, curls)
+    nl = space.n_local
+    free = space.free_index[space.conn]
+    rows = np.repeat(free[:, :, None], nl, axis=2)
+    cols = np.repeat(free[:, None, :], nl, axis=1)
+    keep = (rows >= 0) & (cols >= 0)
+    n = space.n_free
+    mat = sp.coo_matrix((cell[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+def _kernel_problem(case, order, brauer_law):
+    from magfem.harness import annulus_mapped_benchmark, pm_toy_benchmark, problem_at_level
+
+    if case == "brauer":
+        return _problem(brauer_law, n=3, order=order)
+    if case == "pm_toy":  # several regions, magnets
+        return problem_at_level(pm_toy_benchmark(), 0, order=order)
+    if case == "annulus":  # PulledBackLaw: anisotropic d2w
+        return problem_at_level(annulus_mapped_benchmark(base_n=3), 0, order=order)
+    return Problem(  # no constrained dof
+        mesh=mf.generate_unit_square(3),
+        order=order,
+        materials={1: brauer_law},
+        dirichlet_tags=frozenset(),
+    )
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["brauer", "pm_toy", "annulus", "unconstrained"])
+def test_operators_match_einsum_scatter_reference(case, order, brauer_law):
+    problem = _kernel_problem(case, order, brauer_law)
+    coeffs = _random_coeffs(problem, scale=0.1, seed=order)
+    local = coeffs.full()[problem.space.conn]
+    b = np.einsum("el,eqli->eqi", local, tabulate_curl(problem.space, problem.rule))
+    nu_d = assembly._material_apply(problem, "d2w", b)
+    ne, nq = problem.wq.shape
+    for mat, ref in (
+        (assemble_hessian(problem, coeffs), _reference_operator(problem, nu_d)),
+        (
+            assemble_unit_stiffness(problem),
+            _reference_operator(problem, np.broadcast_to(np.eye(2), (ne, nq, 2, 2))),
+        ),
+    ):
+        assert mat.shape == ref.shape == (problem.space.n_free,) * 2
+        assert np.array_equal(mat.indptr, ref.indptr)
+        assert np.array_equal(mat.indices, ref.indices)
+        assert np.array_equal(problem.indptr, ref.indptr)
+        assert np.array_equal(problem.indices, ref.indices)
+        assert np.abs(mat.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    for lo, hi in zip(problem.indptr[:-1], problem.indptr[1:]):
+        assert np.all(np.diff(problem.indices[lo:hi]) > 0)
+    if case == "unconstrained":
+        assert problem.space.n_free == problem.space.num_dofs
+        assert problem.slots.max() < len(problem.indices)  # no dummy slot used
+    else:
+        assert problem.slots.max() == len(problem.indices)  # the dummy slot
+    assert problem.slots.dtype == problem.indices.dtype == problem.indptr.dtype == np.int32
+    again = assemble_hessian(problem, coeffs)
+    assert np.array_equal(again.data, assemble_hessian(problem, coeffs).data)
+
+
+def test_scipy_operations_leave_the_pattern_alone(brauer_law):
+    problem = _problem(brauer_law, n=3, order=2)
+    pattern = {name: getattr(problem, name).copy() for name in ("slots", "indices", "indptr")}
+    H = assemble_hessian(problem, _random_coeffs(problem, seed=8))
+    assert H.has_canonical_format or not (
+        np.shares_memory(H.indices, problem.indices) or np.shares_memory(H.indptr, problem.indptr)
+    )
+    v = rng(9).normal(size=H.shape[0])
+    H @ v
+    H.T.tocsr().sort_indices()
+    H.diagonal()
+    H + H
+    H.tocsr().sum_duplicates()
+    H.sum_duplicates()
+    H.eliminate_zeros()
+    H.data *= 2.0
+    for name, before in pattern.items():
+        assert np.array_equal(getattr(problem, name), before)
+        assert not getattr(problem, name).flags.writeable
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])

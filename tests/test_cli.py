@@ -239,6 +239,19 @@ def test_study_abort_writes_partial_csv_and_exits_2(tmp_path):
     assert out.read_text().strip().splitlines()[-1].startswith("# aborted:")
 
 
+def test_non_finite_newton_direction_exits_2(tmp_path, nan_newton_direction):
+    out = tmp_path / "study.csv"
+    code = main(
+        ["study", "--benchmark", "manufactured", "--degree", "1", "--levels", "2", "--csv", str(out)]
+    )
+    assert code == EXIT_SOLVER
+    assert "non_finite" in out.read_text().strip().splitlines()[-1]
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG)
+    telemetry = tmp_path / "t.json"
+    assert main(["solve", "--config", cfg, "--out", str(telemetry)]) == EXIT_SOLVER
+    assert json.loads(telemetry.read_text())["failure"] == "non_finite"
+
+
 def test_study_honors_newton_config(tmp_path):
     cfg = _write(
         tmp_path,

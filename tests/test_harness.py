@@ -286,6 +286,13 @@ def test_study_stops_on_overflowed_residual():
     assert err.value.rows == []
 
 
+def test_study_stops_on_non_finite_newton_direction(nan_newton_direction):
+    with pytest.raises(harness.StudyError, match="non_finite") as err:
+        run_study(manufactured_benchmark(), order=1, levels=2)
+    assert err.value.rows == []
+    assert isinstance(err.value.__cause__, mf.SolverError)
+
+
 def test_write_study_csv_format(tmp_path, linear_study_rows):
     path = tmp_path / "study.csv"
     text = write_study_csv(linear_study_rows, path)

@@ -187,6 +187,63 @@ def test_newton_stops_on_overflowed_residual(brauer_law):
     assert report.n_iterations == 0
 
 
+def test_newton_stops_on_non_finite_direction(small_brauer_problem, nan_newton_direction):
+    # a NaN direction is a solver failure, caught before the line search
+    # evaluates the energy at a NaN trial
+    coeffs, report = mf.newton_solve(small_brauer_problem)
+    assert not report.converged
+    assert report.failure == "non_finite"
+    assert report.n_iterations == 0
+    assert np.all(coeffs.values == 0.0)  # the last finite iterate: the start
+
+
+def _below_rounding_problem(brauer_law):
+    # a file mesh (no hierarchy, so Jacobi-PCG) on which the full Newton
+    # step's Armijo decrease, about 1e-21, is far below ulp(W) ~ 1e-16
+    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(4))))
+    return mf.Problem(
+        mesh=mesh,
+        order=1,
+        materials={1: brauer_law},
+        dirichlet_tags=frozenset({1}),
+        hs_field=lambda x: np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2]),
+    )
+
+
+def test_line_search_below_energy_rounding_uses_the_derivative(brauer_law, monkeypatch):
+    problem = _below_rounding_problem(brauer_law)
+    _, report = mf.newton_solve(problem)
+    assert report.converged
+    assert [rec.tau for rec in report.iterations] == [1.0, 1.0]
+    # comparing energies alone backtracks on rounding noise and stalls
+    monkeypatch.setattr(solver, "ENERGY_ROUNDING", 0.0)
+    _, report = mf.newton_solve(problem, cfg=_tight(max_iter=10))
+    assert report.failure == "max_iter"
+
+
+@pytest.mark.parametrize("method", ["newton", "zarantonello"])
+def test_iteration_records_carry_inner_solve(small_brauer_problem, monkeypatch, method):
+    infos = []
+    real = solver.solve_cg
+
+    def recording(*args, **kwargs):
+        x, info = real(*args, **kwargs)
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(solver, "solve_cg", recording)
+    problem = small_brauer_problem
+    if method == "newton":
+        _, report = mf.newton_solve(problem)
+    else:
+        gamma, lip = problem.certified_bounds()
+        _, report = mf.zarantonello_solve(problem, tau=gamma / lip**2, cfg=_tight(max_iter=3))
+    assert len(infos) == report.n_iterations > 0
+    assert [(r.cg_iters, r.cg_converged, r.cg_residual) for r in report.iterations] == [
+        (info.iterations, info.converged, info.residual_norm) for info in infos
+    ]
+
+
 def test_newton_step_floor_with_certified_bounds(small_brauer_problem):
     coeffs, report = mf.newton_solve(small_brauer_problem)
     assert report.tau_floor == pytest.approx(
@@ -266,6 +323,7 @@ def test_report_json_round_trip(small_brauer_problem):
     assert len(doc["iterations"]) == report.n_iterations
     assert set(doc["iterations"][0]) == {
         "n", "energy", "residual_norm", "tau", "backtracks", "increment_norm", "cg_iters",
+        "cg_converged", "cg_residual",
     }
 
 
