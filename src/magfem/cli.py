@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import assembly, geometry, harness, materials, solver
+from .materials import brauer_c2_residuals
 from .mesh import MeshParseError, generate_unit_square, parse_mesh, refine_uniform, serialize_mesh
 
 EXIT_OK = 0
@@ -235,23 +236,6 @@ def _cmd_material_check(args):
     print(f"L     = {law.lipschitz:.12g}")
     print(f"L''   = {law.hess_lipschitz:.6g}")
     return EXIT_OK
-
-
-def brauer_c2_residuals(bp):
-    """Relative mismatch of value/slope/curvature across the threshold."""
-    s = bp.s_star
-    e = np.exp(bp.k2 * s * s)
-    w_lo = bp.k1 / (2 * bp.k2) * e + 0.5 * bp.k3 * s * s
-    d1_lo = s * (bp.k1 * e + bp.k3)
-    d2_lo = bp.k1 * e * (1 + 2 * bp.k2 * s * s) + bp.k3
-    w_hi = bp.a0 + bp.a1 * s + 0.5 * bp.nu0 * s * s
-    d1_hi = bp.a1 + bp.nu0 * s
-    d2_hi = bp.nu0
-    return (
-        abs(w_lo - w_hi) / abs(w_hi),
-        abs(d1_lo - d1_hi) / abs(d1_hi),
-        abs(d2_lo - d2_hi) / abs(d2_hi),
-    )
 
 
 def _cmd_mesh(args):

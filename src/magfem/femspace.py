@@ -244,27 +244,27 @@ def build_space(mesh, degree, dirichlet_tags=frozenset()):
 # -- evaluation --------------------------------------------------------------
 
 
-def _curl_from_grad(grad):
-    """Curl a = (da/dy, -da/dx): gradients in the last axis rotated by -90deg."""
-    curl = np.empty_like(grad)
-    curl[..., 0] = grad[..., 1]
-    curl[..., 1] = -grad[..., 0]
+def _physical_curls(inv, ref_grads):
+    """Physical Curl of each shape function; (..., n_local, 2).
+
+    `inv` holds inverse element matrices (..., 2, 2), shaped to broadcast
+    against the reference gradients `ref_grads` (..., n_local, 2). The
+    gradient transforms with inv^T and Curl a = (da/dy, -da/dx) rotates it,
+    so curl component i is the two-term sum g_0 rot_0i + g_1 rot_1i over
+    inv's rotated columns, summed in place (half-size temporaries).
+    """
+    rot = np.stack([inv[..., 1], -inv[..., 0]], axis=-1)
+    curl = np.empty(np.broadcast_shapes(ref_grads.shape, rot.shape[:-1]))
+    for i in range(2):
+        np.multiply(ref_grads[..., 0], rot[..., 0, i], out=curl[..., i])
+        curl[..., i] += ref_grads[..., 1] * rot[..., 1, i]
     return curl
 
 
-def _physical_curls(space, ref_grads, elements=None):
-    """Physical Curl of each shape function; (ne, nq, n_local, 2).
-
-    ref_grads has shape (nq, n_local, 2); grad transforms with the inverse
-    transpose of the element matrix.
-    """
-    inv = space.element_inverse if elements is None else space.element_inverse[elements]
-    return _curl_from_grad(np.einsum("eji,qlj->eqli", inv, ref_grads))
-
-
 def tabulate_curl(space, rule):
-    """Curl of all shape functions at the rule's points, per element."""
-    return _physical_curls(space, _shape_gradients(space.degree, rule.points))
+    """Curl of all shape functions at the rule's points; (ne, nq, n_local, 2)."""
+    grads = _shape_gradients(space.degree, rule.points)  # (nq, n_local, 2)
+    return _physical_curls(space.element_inverse[:, None, None], grads)
 
 
 def tabulate_values(space, rule):
@@ -282,8 +282,8 @@ def eval_basis(space, element, point):
         raise IndexError(f"element {element} out of range")
     pt = np.asarray(point, dtype=float).reshape(1, 2)
     values = _shape_values(space.degree, pt)[0]
-    curls = _physical_curls(space, _shape_gradients(space.degree, pt), np.array([element]))
-    return values, curls[0, 0]
+    curls = _physical_curls(space.element_inverse[element], _shape_gradients(space.degree, pt))
+    return values, curls[0]
 
 
 def eval_curl_field(space, coeffs, element, point):
@@ -296,14 +296,14 @@ def eval_curl_field(space, coeffs, element, point):
 def eval_curl_batch(space, coeffs, elements, points):
     """Curl of the discrete field at per-element reference points.
 
-    elements: (n,) element indices; points: (n, 2) reference coordinates.
-    Used for cross-mesh error evaluation where every point has its own
-    host element.
+    elements: (n,) element indices; points: (n, 2) reference coordinates,
+    each point with its own host element. Study errors do not use it (they
+    prolongate the coarse solution instead); tests keep it as an
+    independent pointwise evaluation, and perfbench's tracer patches it.
     """
     elements = np.asarray(elements)
     grads = _shape_gradients(space.degree, points)  # (n, n_local, 2)
-    inv = space.element_inverse[elements]
-    curl = _curl_from_grad(np.einsum("nji,nlj->nli", inv, grads))
+    curl = _physical_curls(space.element_inverse[elements][:, None], grads)
     local = coeffs.full()[space.conn[elements]]  # (n, n_local)
     return np.einsum("nl,nli->ni", local, curl)
 

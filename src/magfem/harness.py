@@ -6,7 +6,8 @@ of uniformly refined meshes and report, per level, the element count,
 free dofs, Newton iteration count, and relative L2 errors of the flux b
 and field h together with their estimated orders of convergence. Error
 references are, depending on the mode, the manufactured exact solution,
-the next-finer solution, or the next-degree solution; error integration
+the next-finer solution (the coarse solution carried to the fine mesh by
+`multigrid.prolongation`), or the next-degree solution; error integration
 always uses a rule two degrees above the assembly rule.
 """
 
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, femspace, geometry, solver
+from . import assembly, geometry, multigrid, solver
+from .femspace import CoefficientVector
 from .materials import NU0, AnisotropicLinear, LinearIsotropic, MaterialLaw, PermanentMagnet, brauer_reference
-from .mesh import Mesh, child_reference_map, generate_unit_square, refine_uniform, with_region_tags
+from .mesh import Mesh, generate_unit_square, refine_uniform, with_region_tags
 from .quadrature import rule_for_degree
 
 ERROR_MODES = ("manufactured-exact", "successive-refinement", "successive-degree")
@@ -118,25 +120,6 @@ def _error_rule(order):
     return rule_for_degree(2 * order + 2)
 
 
-def _eval_on_parent(coarse_problem, coarse_coeffs, fine_ne, rule):
-    """Coarse solution's flux at the fine mesh's quadrature points.
-
-    Relies on refine_uniform's child layout: fine element 4t+c sits in
-    parent t under the fixed affine embedding of child c.
-    """
-    space = coarse_problem.space
-    local = coarse_coeffs.full()[space.conn]  # (n_parent, n_local)
-    b = np.empty((fine_ne, len(rule), 2))
-    for c in range(4):
-        M, off = child_reference_map(c)
-        grads = femspace._shape_gradients(space.degree, rule.points @ M.T + off)
-        ref_grad = np.einsum("tl,qlj->tqj", local, grads)
-        b[c::4] = femspace._curl_from_grad(
-            np.einsum("tji,tqj->tqi", space.element_inverse, ref_grad)
-        )
-    return b
-
-
 def solve_level(benchmark, level, cfg, order=None):
     """Build and solve one refinement level; returns (problem, coeffs, report)."""
     problem = problem_at_level(benchmark, level, order=order)
@@ -227,34 +210,35 @@ def _tabulate(rows, results, errors):
         )
 
 
+def _relative_errors(mesh, rule, fields, reference):
+    """Relative L2 errors (err_b, err_h) of sampled (b, h) against the reference's."""
+    return tuple(
+        _l2_norm(mesh, rule, x - x_ref) / _l2_norm(mesh, rule, x_ref)
+        for x, x_ref in zip(fields, reference)
+    )
+
+
 def _manufactured_errors(benchmark, problem, coeffs, rule):
     pts, b_h, h_h = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
     flat = pts.reshape(-1, 2)
     b_ex = np.asarray(benchmark.exact_flux(flat), float).reshape(b_h.shape)
     h_ex = assembly._material_apply(problem, "dw", b_ex, pts)
-    mesh = problem.mesh
-    err_b = _l2_norm(mesh, rule, b_h - b_ex) / _l2_norm(mesh, rule, b_ex)
-    err_h = _l2_norm(mesh, rule, h_h - h_ex) / _l2_norm(mesh, rule, h_ex)
-    return err_b, err_h
+    return _relative_errors(problem.mesh, rule, (b_h, h_h), (b_ex, h_ex))
 
 
 def _refinement_errors(coarse_p, coarse_c, fine_p, fine_c, rule):
-    pts, b_fine, h_fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
-    b_coarse = _eval_on_parent(coarse_p, coarse_c, fine_p.mesh.num_triangles, rule)
-    h_coarse = assembly._material_apply(fine_p, "dw", b_coarse, pts)
-    mesh = fine_p.mesh
-    err_b = _l2_norm(mesh, rule, b_coarse - b_fine) / _l2_norm(mesh, rule, b_fine)
-    err_h = _l2_norm(mesh, rule, h_coarse - h_fine) / _l2_norm(mesh, rule, h_fine)
-    return err_b, err_h
+    """The coarse solution against the fine one, both on the fine mesh."""
+    P = multigrid.prolongation(fine_p.space, coarse_p.space)
+    coarse_on_fine = CoefficientVector(fine_p.space, P @ coarse_c.values)
+    _, *coarse = assembly.fields_at_quadrature(fine_p, coarse_on_fine, rule=rule)
+    _, *fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
+    return _relative_errors(fine_p.mesh, rule, coarse, fine)
 
 
 def _degree_errors(problem, coeffs, problem2, coeffs2, rule):
-    pts, b_lo, h_lo = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
-    _, b_hi, h_hi = assembly.fields_at_quadrature(problem2, coeffs2, rule=rule)
-    mesh = problem.mesh
-    err_b = _l2_norm(mesh, rule, b_lo - b_hi) / _l2_norm(mesh, rule, b_hi)
-    err_h = _l2_norm(mesh, rule, h_lo - h_hi) / _l2_norm(mesh, rule, h_hi)
-    return err_b, err_h
+    _, *low = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
+    _, *high = assembly.fields_at_quadrature(problem2, coeffs2, rule=rule)
+    return _relative_errors(problem.mesh, rule, low, high)
 
 
 def max_flux_magnitude(problem, coeffs):

@@ -185,6 +185,25 @@ class BrauerParams:
     a1: float
 
 
+def _brauer_core(k1, k2, k3, s):
+    """Exponential core wt(s) = k1/(2 k2) exp(k2 s^2) + k3/2 s^2, wt', wt''."""
+    e = np.exp(k2 * s * s)
+    return (
+        k1 / (2.0 * k2) * e + 0.5 * k3 * s * s,
+        s * (k1 * e + k3),
+        k1 * e * (1.0 + 2.0 * k2 * s * s) + k3,
+    )
+
+
+def _brauer_tail(p, s):
+    """Quadratic extension wt(s) = a0 + a1 s + nu0/2 s^2, wt', wt''."""
+    return (
+        p.a0 + p.a1 * s + 0.5 * p.nu0 * s * s,
+        p.a1 + p.nu0 * s,
+        p.nu0,
+    )
+
+
 def brauer_build(k1, k2, k3, nu0=NU0):
     """Solve for the C2 quadratic extension of the Brauer reluctivity law.
 
@@ -202,7 +221,7 @@ def brauer_build(k1, k2, k3, nu0=NU0):
         )
 
     def ddw(s):
-        return k1 * np.exp(k2 * s * s) * (1.0 + 2.0 * k2 * s * s) + k3 - nu0
+        return _brauer_core(k1, k2, k3, s)[2] - nu0
 
     lo, hi = 0.0, 1.0
     while ddw(hi) < 0.0:
@@ -217,11 +236,21 @@ def brauer_build(k1, k2, k3, nu0=NU0):
             hi = mid
     s_star = 0.5 * (lo + hi)
 
+    # the matching values keep their own operation order (k2 * s_star**2, not
+    # the core's k2 * s * s): a0 and a1, and so every Brauer evaluation,
+    # depend on its rounding
     w_lo = k1 / (2.0 * k2) * np.exp(k2 * s_star**2) + 0.5 * k3 * s_star**2
     dw_lo = s_star * (k1 * np.exp(k2 * s_star**2) + k3)
     a1 = dw_lo - nu0 * s_star
     a0 = w_lo - a1 * s_star - 0.5 * nu0 * s_star**2
     return BrauerParams(k1=k1, k2=k2, k3=k3, nu0=nu0, s_star=s_star, a0=a0, a1=a1)
+
+
+def brauer_c2_residuals(params):
+    """Relative mismatch of value, slope and curvature across the threshold."""
+    core = _brauer_core(params.k1, params.k2, params.k3, params.s_star)
+    tail = _brauer_tail(params, params.s_star)
+    return tuple(abs(lo - hi) / abs(hi) for lo, hi in zip(core, tail))
 
 
 class BrauerLaw(IsotropicLaw):
@@ -244,17 +273,13 @@ class BrauerLaw(IsotropicLaw):
         p = self.params
         s = np.asarray(s, dtype=float)
         low = s <= p.s_star
-        sl = np.where(low, s, 0.0)
-        e = np.exp(p.k2 * sl * sl)
-        w_low = p.k1 / (2.0 * p.k2) * e + 0.5 * p.k3 * sl * sl
-        d1_low = sl * (p.k1 * e + p.k3)
-        d2_low = p.k1 * e * (1.0 + 2.0 * p.k2 * sl * sl) + p.k3
-        w_high = p.a0 + p.a1 * s + 0.5 * p.nu0 * s * s
-        d1_high = p.a1 + p.nu0 * s
-        w = np.where(low, w_low, w_high)
-        d1 = np.where(low, d1_low, d1_high)
-        d2 = np.where(low, d2_low, p.nu0)
-        return w, d1, d2
+        w_low, d1_low, d2_low = _brauer_core(p.k1, p.k2, p.k3, np.where(low, s, 0.0))
+        w_high, d1_high, d2_high = _brauer_tail(p, s)
+        return (
+            np.where(low, w_low, w_high),
+            np.where(low, d1_low, d1_high),
+            np.where(low, d2_low, d2_high),
+        )
 
     def _scan_hess_lipschitz(self, n=2001):
         s = np.linspace(0.0, self.params.s_star, n)

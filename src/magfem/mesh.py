@@ -287,8 +287,9 @@ def refine_uniform(mesh):
     Region and boundary tags are inherited; the result is conforming and
     the maximal edge length halves. Children of parent t occupy indices
     4t..4t+3 (three corner children then the medial triangle), which
-    cross-level evaluation and multigrid depend on; the result's `parent`
-    is `mesh`.
+    `multigrid.prolongation`, the one coarse-to-fine operator of the
+    multigrid hierarchy and of study error references, depends on; the
+    result's `parent` is `mesh`.
     """
     nv = mesh.num_vertices
     u, v = mesh.edges.T

@@ -2,11 +2,12 @@
 
 `refine_uniform` nests the Lagrange spaces: a coarse P_p function is a
 fine P_p function, and on the base mesh a P1 function is a P_p function.
-The prolongations below are these embeddings on free dofs, exact up to
-rounding, so the Galerkin coarse operators P^T A P stay symmetric
-positive definite and the V-cycle is a symmetric positive definite
-preconditioner for conjugate gradients (Hackbusch, Multi-Grid Methods and
-Applications, 1985; Bramble-Pasciak-Xu, Math. Comp. 55, 1990).
+`prolongation` is this embedding on free dofs, exact up to rounding, so
+the Galerkin coarse operators P^T A P stay symmetric positive definite
+and the V-cycle is a symmetric positive definite preconditioner for
+conjugate gradients (Hackbusch, Multi-Grid Methods and Applications,
+1985; Bramble-Pasciak-Xu, Math. Comp. 55, 1990). Study errors use the
+same operator to carry a coarse solution to the next-finer level.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .femspace import _reference_nodes, _shape_values, build_space
-from .mesh import child_reference_map
+from .mesh import child_reference_map, meshes_equal
 
 #: Largest base P1 space whose Galerkin operator is inverted densely (8 MB).
 MAX_COARSE_DOFS = 1000
@@ -40,14 +41,21 @@ _CHILD_OFFSET = np.array([off for _, off in _CHILD_MAPS])
 _ZERO = 1e-12
 
 
-def _prolongation(fine, coarse, refined):
+def prolongation(fine, coarse):
     """Free-dof matrix mapping coarse coefficients to the same fine function.
 
-    Each fine dof's node is located in one host element, mapped into the
-    coarse element containing it (parent 4t+c -> t through child c's
-    reference map when `refined`, the same element otherwise), and the
-    coarse shape functions are evaluated there.
+    The one coarse-to-fine operator, for multigrid levels and study error
+    references. On different meshes, fine.mesh must be `refine_uniform` of
+    a mesh equal to coarse.mesh (ValueError otherwise). Each fine dof's
+    node is located in one host element, mapped into the coarse element
+    containing it (parent 4t+c -> t through child c's reference map after a
+    refinement, the same element otherwise), and the coarse shape functions
+    are evaluated there.
     """
+    refined = fine.mesh is not coarse.mesh
+    parent = fine.mesh.parent
+    if refined and (parent is None or not meshes_equal(parent, coarse.mesh)):
+        raise ValueError("fine mesh is not a uniform refinement of the coarse mesh")
     nl = fine.n_local
     _, first = np.unique(fine.conn, return_index=True)  # one host slot per dof
     elem, local = np.divmod(first, nl)
@@ -83,9 +91,9 @@ def hierarchy(space):
     if base.n_free > MAX_COARSE_DOFS:
         return ()
     spaces = [space] + [build_space(m, space.degree, space.dirichlet_tags) for m in meshes[1:]]
-    steps = [_prolongation(f, c, True) for f, c in zip(spaces, spaces[1:])]
+    steps = [prolongation(f, c) for f, c in zip(spaces, spaces[1:])]
     if space.degree > 1:
-        steps.append(_prolongation(spaces[-1], base, False))
+        steps.append(prolongation(spaces[-1], base))
     return tuple(steps)
 
 

@@ -44,13 +44,16 @@ class LineSearchError(SolverError):
     """Backtracking exhausted; impossible under valid convexity bounds."""
 
 
+#: Restarts of CG from its true residual once the recursive one has converged.
+MAX_REFINEMENTS = 4
+
+
 @dataclass(frozen=True)
 class CGConfig:
     rel_tol: float = 1e-12
     max_iter: int = None
     jacobi: bool = True
     strict: bool = False
-    max_refinements: int = 4
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,21 @@ class IterationRecord:
     cg_iters: int
     cg_converged: bool
     cg_residual: float
+
+    @classmethod
+    def of_step(cls, n, energy, residual_norm, tau, backtracks, increment_norm, cg):
+        """Record of step n; the inner solve's fields come from its CGInfo `cg`."""
+        return cls(
+            n=n,
+            energy=energy,
+            residual_norm=residual_norm,
+            tau=tau,
+            backtracks=backtracks,
+            increment_norm=increment_norm,
+            cg_iters=cg.iterations,
+            cg_converged=cg.converged,
+            cg_residual=cg.residual_norm,
+        )
 
 
 @dataclass
@@ -148,7 +166,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     Iterates until the recursive residual satisfies
     ||r||_2 <= rel_tol ||rhs||_2, then measures the true residual and, if
     it still misses the tolerance, restarts from it for up to
-    max_refinements rounds while each round at least halves it (on
+    MAX_REFINEMENTS rounds while each round at least halves it (on
     ill-conditioned systems the true residual bottoms out at the rounding
     floor eps ||A|| ||x||, which no amount of iteration cures).
     Deterministic: fixed start x = 0, fixed reduction order. Budget
@@ -196,7 +214,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
             true_res = float(np.linalg.norm(true_r))
             if true_res <= tol:
                 break
-            if refinements >= cfg.max_refinements or true_res > 0.5 * best_true:
+            if refinements >= MAX_REFINEMENTS or true_res > 0.5 * best_true:
                 break  # rounding floor reached; more iterations cannot help
             best_true = min(best_true, true_res)
             refinements += 1
@@ -342,17 +360,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
             tau *= cfg.rho
 
         records.append(
-            IterationRecord(
-                n=n,
-                energy=energy,
-                residual_norm=res_norm,
-                tau=tau,
-                backtracks=backtracks,
-                increment_norm=inc_norm,
-                cg_iters=cg_info.iterations,
-                cg_converged=cg_info.converged,
-                cg_residual=cg_info.residual_norm,
-            )
+            IterationRecord.of_step(n, energy, res_norm, tau, backtracks, inc_norm, cg_info)
         )
         vec = trial
         energy = trial_energy
@@ -415,16 +423,8 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
         delta, cg_info = solve_cg(K, -tau * res, cfg.cg, prolongations=prolongations)
         inc_norm = float(np.sqrt(max(delta @ (K @ delta), 0.0)))
         records.append(
-            IterationRecord(
-                n=n,
-                energy=energy,
-                residual_norm=float(np.linalg.norm(res)),
-                tau=tau,
-                backtracks=0,
-                increment_norm=inc_norm,
-                cg_iters=cg_info.iterations,
-                cg_converged=cg_info.converged,
-                cg_residual=cg_info.residual_norm,
+            IterationRecord.of_step(
+                n, energy, float(np.linalg.norm(res)), tau, 0, inc_norm, cg_info
             )
         )
         if prev_inc is not None and prev_inc > 0.0:

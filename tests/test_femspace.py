@@ -4,6 +4,7 @@ import pytest
 import magfem as mf
 from magfem import femspace
 from magfem.femspace import eval_curl_batch, tabulate_curl
+from magfem.harness import disc_mesh
 from magfem.quadrature import rule_for_degree
 
 from conftest import l2_norm_oracle, rng
@@ -257,3 +258,38 @@ def test_curl_norm_positive_for_nonzero_fields():
         b = np.einsum("el,eqli->eqi", local, curls)
         norm = np.sqrt((((b**2).sum(2)) @ rule.weights) @ areas)
         assert norm > 1e-8 * np.linalg.norm(values)
+
+
+def _old_tabulate_curl(space, rule):
+    """The former einsum: inverse-transpose gradients, then rotated to curls."""
+    grads = femspace._shape_gradients(space.degree, rule.points)
+    g = np.einsum("eji,qlj->eqli", space.element_inverse, grads)
+    return np.stack([g[..., 1], -g[..., 0]], axis=-1)
+
+
+def _old_eval_curl_batch(space, coeffs, elements, points):
+    grads = femspace._shape_gradients(space.degree, points)
+    g = np.einsum("nji,nlj->nli", space.element_inverse[elements], grads)
+    curl = np.stack([g[..., 1], -g[..., 0]], axis=-1)
+    local = coeffs.full()[space.conn[elements]]
+    return np.einsum("nl,nli->ni", local, curl)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_tabulate_curl_bit_identical_to_einsum(p):
+    # the two-term curl kernel rounds exactly like the contraction it replaced
+    mesh = mf.refine_uniform(disc_mesh(3))
+    space = mf.build_space(mesh, p, {1})
+    rule = rule_for_degree(8)
+    assert np.array_equal(tabulate_curl(space, rule), _old_tabulate_curl(space, rule))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_eval_curl_batch_bit_identical_to_einsum(p):
+    space = mf.build_space(disc_mesh(3), p, {1})
+    generator = rng(6)
+    coeffs = mf.CoefficientVector(space, generator.normal(size=space.n_free))
+    elements = generator.integers(0, space.mesh.num_triangles, size=200)
+    points = generator.dirichlet(np.ones(3), size=200)[:, :2]
+    got = eval_curl_batch(space, coeffs, elements, points)
+    assert np.array_equal(got, _old_eval_curl_batch(space, coeffs, elements, points))

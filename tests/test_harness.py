@@ -132,18 +132,21 @@ def test_parent_evaluation_exact_on_unstructured_mesh():
     # for representable fields, also away from structured grids
     import magfem.assembly as assembly
     from magfem.femspace import CoefficientVector
+    from magfem.multigrid import prolongation
     from magfem.quadrature import mapped_points, rule_for_degree
 
     coarse = disc_mesh(3)
-    problem = assembly.Problem(
-        mesh=coarse, order=1, materials={1: mf.LinearIsotropic(1.0)}, dirichlet_tags=frozenset()
-    )
+    fine = mf.refine_uniform(coarse)
+    law = {1: mf.LinearIsotropic(1.0)}
+    problem = assembly.Problem(mesh=coarse, order=1, materials=law, dirichlet_tags=frozenset())
+    fine_problem = assembly.Problem(mesh=fine, order=1, materials=law, dirichlet_tags=frozenset())
     f = lambda x: 0.3 * x[:, 0] ** 2 - x[:, 0] * x[:, 1] + 0.1 * x[:, 1]
     coeffs = mf.interpolate(problem.space, f)
 
-    fine = mf.refine_uniform(coarse)
     rule = rule_for_degree(4)
-    got = harness._eval_on_parent(problem, coeffs, fine.num_triangles, rule)
+    P = prolongation(fine_problem.space, problem.space)
+    on_fine = CoefficientVector(fine_problem.space, P @ coeffs.values)
+    _, got, _ = assembly.fields_at_quadrature(fine_problem, on_fine, rule=rule)
     pts = mapped_points(fine, rule).reshape(-1, 2)
     exact = np.column_stack([-pts[:, 0] + 0.1, -(0.6 * pts[:, 0] - pts[:, 1])])
     assert np.allclose(got.reshape(-1, 2), exact, atol=1e-12)

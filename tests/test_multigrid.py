@@ -70,6 +70,23 @@ def test_prolongation_maps_coarse_interpolant_to_fine_interpolant(base, degree):
         assert np.max(np.abs(got - want)) <= PROLONGATION_TOL * np.max(np.abs(want))
 
 
+def test_prolongation_rejects_a_fine_mesh_without_matching_parent():
+    coarse = mf.generate_unit_square(3)
+    refined = mf.refine_uniform(coarse)
+    parsed = mf.parse_mesh(mf.serialize_mesh(refined))  # same mesh, no parent
+    other = mf.refine_uniform(mf.generate_unit_square(4))  # a parent, but not coarse
+    coarse_space = build_space(coarse, 2, {1})
+    for mesh in (parsed, other):
+        with pytest.raises(ValueError, match="not a uniform refinement"):
+            multigrid.prolongation(build_space(mesh, 2, {1}), coarse_space)
+    # an equal copy of the parent is accepted, as run_study's levels need
+    copy = multigrid.prolongation(
+        build_space(mf.refine_uniform(mf.generate_unit_square(3)), 2, {1}), coarse_space
+    )
+    own = multigrid.prolongation(build_space(refined, 2, {1}), coarse_space)
+    assert (copy != own).nnz == 0
+
+
 def _hessian(case, order):
     """A Newton Hessian on a refined mesh: at the manufactured exact solution
     (deep in the nonlinear range), or at pm_toy's first Newton iterate, where
