@@ -314,18 +314,22 @@ def curl_norm(problem, free_values):
     return float(np.sqrt(np.sum(problem.wq * np.sum(b * b, axis=2))))
 
 
-def fields_at_quadrature(problem, coeffs, rule=None):
+def fields_at_quadrature(problem, *coeffs, rule=None):
     """Quadrature-point samples (x, b, h) for post-processing and errors.
 
     With `rule` given, tabulates on that rule (used for the over-integrated
     error norms) without keeping the tables; defaults to the problem's own
-    rule.
+    rule. Several coefficient vectors share one tabulation: the result is
+    x followed by b and h of each vector in turn.
     """
     if rule is None or rule.degree == problem.rule.degree:
         pts = problem.points
-        b = curl_at_quadrature(problem, coeffs)
+        bs = [curl_at_quadrature(problem, c) for c in coeffs]
     else:
         pts = mapped_points(problem.mesh, rule)
         curls = femspace.tabulate_curl(problem.space, rule)
-        b = np.einsum("el,eqli->eqi", _local_coeffs(problem, coeffs), curls)
-    return pts, b, _material_apply(problem, "dw", b, pts)
+        bs = [np.einsum("el,eqli->eqi", _local_coeffs(problem, c), curls) for c in coeffs]
+    fields = [pts]
+    for b in bs:
+        fields += [b, _material_apply(problem, "dw", b, pts)]
+    return tuple(fields)

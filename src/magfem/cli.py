@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import sys
 
 import numpy as np
@@ -145,17 +146,26 @@ def read_problem_config(path, mesh_file=None):
     return problem, read_newton_config(parser)
 
 
+#: One fields CSV row; "%.12g" writes what an f-string's ":.12g" writes.
+_FIELDS_ROW = "%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+#: Elements formatted per write, which bounds the text held at once.
+_FIELDS_CHUNK = 1024
+
+
 def _write_fields_csv(problem, coeffs, path):
     pts, b, h = assembly.fields_at_quadrature(problem, coeffs)
     ne, nq, _ = pts.shape
+    qpoint = list(range(nq)) * _FIELDS_CHUNK
     with open(path, "w") as f:
         f.write("element,qpoint,x,y,bx,by,hx,hy\n")
-        for e in range(ne):
-            for q in range(nq):
-                f.write(
-                    f"{e},{q},{pts[e,q,0]:.12g},{pts[e,q,1]:.12g},"
-                    f"{b[e,q,0]:.12g},{b[e,q,1]:.12g},{h[e,q,0]:.12g},{h[e,q,1]:.12g}\n"
-                )
+        for start in range(0, ne, _FIELDS_CHUNK):
+            stop = min(start + _FIELDS_CHUNK, ne)
+            n = (stop - start) * nq
+            element = np.repeat(np.arange(start, stop), nq).tolist()
+            values = np.concatenate([pts[start:stop], b[start:stop], h[start:stop]], axis=2)
+            columns = values.reshape(n, 6).T.tolist()
+            rows = itertools.chain.from_iterable(zip(element, qpoint, *columns))
+            f.write((_FIELDS_ROW * n) % tuple(rows))
 
 
 def _cmd_solve(args):

@@ -230,9 +230,8 @@ def _refinement_errors(coarse_p, coarse_c, fine_p, fine_c, rule):
     """The coarse solution against the fine one, both on the fine mesh."""
     P = multigrid.prolongation(fine_p.space, coarse_p.space)
     coarse_on_fine = CoefficientVector(fine_p.space, P @ coarse_c.values)
-    _, *coarse = assembly.fields_at_quadrature(fine_p, coarse_on_fine, rule=rule)
-    _, *fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
-    return _relative_errors(fine_p.mesh, rule, coarse, fine)
+    _, *fields = assembly.fields_at_quadrature(fine_p, coarse_on_fine, fine_c, rule=rule)
+    return _relative_errors(fine_p.mesh, rule, fields[:2], fields[2:])
 
 
 def _degree_errors(problem, coeffs, problem2, coeffs2, rule):

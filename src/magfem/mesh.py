@@ -10,6 +10,7 @@ format is a line-oriented ASCII format with 1-based indices (see
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,102 +322,155 @@ def child_reference_map(child_index):
 # -- ASCII (de)serialization ----------------------------------------------
 
 
+# The row of each block as one structured record: the id, then the payload.
+# Every column is 8 bytes wide, so a row has dtype.itemsize // 8 of them.
+_BLOCKS = (
+    ("$Nodes", np.dtype([("id", np.int64), ("xy", float, (2,))])),
+    ("$Triangles", np.dtype([("id", np.int64), ("vertex", np.int64, (3,)), ("tag", np.int64)])),
+    ("$BoundaryEdges", np.dtype([("id", np.int64), ("vertex", np.int64, (2,)), ("tag", np.int64)])),
+)
+
+
+def _format_rows(fmt, *columns):
+    """One `fmt` row per entry of the equal-length columns, in one % pass."""
+    return (fmt * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
 def serialize_mesh(mesh):
     """Mesh to the line-oriented ASCII format (1-based, round-trip exact)."""
-    lines = []
-    lines.append(f"$Nodes {mesh.num_vertices}")
-    for k, (x, y) in enumerate(mesh.vertices, start=1):
-        lines.append(f"{k} {x:.17g} {y:.17g}")
-    lines.append(f"$Triangles {mesh.num_triangles}")
-    for k, (tri, reg) in enumerate(zip(mesh.triangles, mesh.region_tag), start=1):
-        lines.append(f"{k} {tri[0] + 1} {tri[1] + 1} {tri[2] + 1} {reg}")
-    lines.append(f"$BoundaryEdges {len(mesh.boundary_edges)}")
-    for k, ((u, v), tag) in enumerate(zip(mesh.boundary_edges, mesh.boundary_tag), start=1):
-        lines.append(f"{k} {u + 1} {v + 1} {tag}")
-    return "\n".join(lines) + "\n"
+    nv, ne, nb = mesh.num_vertices, mesh.num_triangles, len(mesh.boundary_edges)
+    return "".join(
+        [
+            f"$Nodes {nv}\n",
+            _format_rows("%d %.17g %.17g\n", range(1, nv + 1), *mesh.vertices.T.tolist()),
+            f"$Triangles {ne}\n",
+            _format_rows(
+                "%d %d %d %d %d\n",
+                range(1, ne + 1),
+                *(mesh.triangles.T + 1).tolist(),
+                mesh.region_tag.tolist(),
+            ),
+            f"$BoundaryEdges {nb}\n",
+            _format_rows(
+                "%d %d %d %d\n",
+                range(1, nb + 1),
+                *(mesh.boundary_edges.T + 1).tolist(),
+                mesh.boundary_tag.tolist(),
+            ),
+        ]
+    )
+
+
+def _end_of_file(numbers):
+    return MeshParseError("unexpected end of file", line=(numbers[-1] if numbers else 0) + 1)
+
+
+def _read_header(rows, numbers, pos, name):
+    if pos >= len(rows):
+        raise _end_of_file(numbers)
+    tok = rows[pos].split()
+    if len(tok) != 2 or tok[0] != name:
+        raise MeshParseError(f"expected '{name} <count>' header", line=numbers[pos])
+    try:
+        count = int(tok[1])
+    except ValueError:
+        raise MeshParseError(f"bad count in {name} header", line=numbers[pos]) from None
+    if count < 0:
+        raise MeshParseError(f"negative count in {name} header", line=numbers[pos])
+    return count
+
+
+def _load_rows(rows, dtype):
+    """The rows as one structured array; ValueError if any row does not fit `dtype`."""
+    if not rows:
+        return np.zeros(0, dtype)
+    return np.loadtxt(rows, dtype=dtype, ndmin=1)
+
+
+def _read_block(rows, numbers, pos, name, dtype):
+    """The block whose header is rows[pos]: (records, position after the block).
+
+    All rows load in one pass. If one does not, bisection finds the longest
+    prefix that loads, so every fault is reported at the first offending
+    row in file order.
+    """
+    count = _read_header(rows, numbers, pos, name)
+    start = pos + 1
+    block = rows[start : start + count]
+    try:
+        table, bad = _load_rows(block, dtype), None
+    except ValueError:
+        bad, fails = 0, len(block)  # block[:bad] loads, block[:fails] does not
+        while fails - bad > 1:
+            mid = (bad + fails) // 2
+            try:
+                _load_rows(block[:mid], dtype)
+                bad = mid
+            except ValueError:
+                fails = mid
+        table = _load_rows(block[:bad], dtype)  # block[bad] is the first row that fails
+
+    wrong = np.flatnonzero(table["id"] != np.arange(1, len(table) + 1))
+    if len(wrong):
+        k = int(wrong[0])
+        raise MeshParseError(
+            f"ids must be consecutive starting at 1; expected {k + 1}, got {table['id'][k]}",
+            line=numbers[start + k],
+        )
+    if bad is not None:
+        lineno = numbers[start + bad]
+        tok = block[bad].split()
+        if tok[0].startswith("$"):
+            raise MeshParseError(
+                f"{name} block truncated: expected {count} rows, got {bad}", line=lineno
+            )
+        if len(tok) != dtype.itemsize // 8:
+            raise MeshParseError(
+                f"expected {dtype.itemsize // 8} fields in {name} row", line=lineno
+            )
+        raise MeshParseError(f"malformed {name} row", line=lineno)
+    if len(block) < count:
+        raise _end_of_file(numbers)
+    return table, start + count
 
 
 def parse_mesh(text):
-    """Parse the ASCII mesh format; errors carry the offending line number."""
-    raw = text.splitlines()
-    entries = []  # (line_number, tokens)
-    for lineno, line in enumerate(raw, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            entries.append((lineno, stripped.split()))
+    """Parse the ASCII mesh format; errors carry the offending line number.
+
+    Everything after a `#` on a line is a comment, blank lines are
+    skipped, and tokens are separated by any whitespace. Numbers are
+    read as numpy reads them: Python-only spellings such as the digit
+    separator in `1_0` or non-ASCII digits, and integers beyond int64,
+    make a row malformed.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    numbers = [n for n, line in enumerate(lines, start=1) if line and not line.isspace()]
+    rows = [lines[n - 1] for n in numbers]
 
     pos = 0
+    tables = []
+    for name, dtype in _BLOCKS:
+        table, end = _read_block(rows, numbers, pos, name, dtype)
+        tables.append((table, numbers[pos + 1 : end]))
+        pos = end
+    if pos != len(rows):
+        raise MeshParseError("trailing content after $BoundaryEdges block", line=numbers[pos])
 
-    def next_entry():
-        nonlocal pos
-        if pos >= len(entries):
-            last = entries[-1][0] if entries else 0
-            raise MeshParseError("unexpected end of file", line=last + 1)
-        e = entries[pos]
-        pos += 1
-        return e
-
-    def read_header(name):
-        lineno, tok = next_entry()
-        if len(tok) != 2 or tok[0] != name:
-            raise MeshParseError(f"expected '{name} <count>' header", line=lineno)
-        try:
-            count = int(tok[1])
-        except ValueError:
-            raise MeshParseError(f"bad count in {name} header", line=lineno) from None
-        if count < 0:
-            raise MeshParseError(f"negative count in {name} header", line=lineno)
-        return count
-
-    def read_block(name, width, convert):
-        count = read_header(name)
-        rows = []
-        for k in range(1, count + 1):
-            lineno, tok = next_entry()
-            if tok[0].startswith("$"):
-                raise MeshParseError(
-                    f"{name} block truncated: expected {count} rows, got {k - 1}", line=lineno
-                )
-            if len(tok) != width:
-                raise MeshParseError(f"expected {width} fields in {name} row", line=lineno)
-            try:
-                ident = int(tok[0])
-                values = convert(tok[1:])
-            except ValueError:
-                raise MeshParseError(f"malformed {name} row", line=lineno) from None
-            if ident != k:
-                raise MeshParseError(
-                    f"ids must be consecutive starting at 1; expected {k}, got {ident}",
-                    line=lineno,
-                )
-            rows.append((lineno, values))
-        return rows
-
-    nodes = read_block("$Nodes", 3, lambda s: (float(s[0]), float(s[1])))
+    (nodes, _), (tris, tri_lines), (edges, edge_lines) = tables
     nv = len(nodes)
-
-    def check_index(i, lineno):
-        if not (1 <= i <= nv):
-            raise MeshParseError(f"vertex index {i} out of range 1..{nv}", line=lineno)
-        return i - 1
-
-    tris = read_block("$Triangles", 5, lambda s: tuple(int(x) for x in s))
-    edges = read_block("$BoundaryEdges", 4, lambda s: tuple(int(x) for x in s))
-    if pos != len(entries):
-        raise MeshParseError("trailing content after $BoundaryEdges block", line=entries[pos][0])
-
-    vertices = np.array([v for _, v in nodes], dtype=float).reshape(nv, 2)
-    triangles = [
-        (check_index(a, ln), check_index(b, ln), check_index(c, ln))
-        for ln, (a, b, c, _) in tris
-    ]
-    region = [r for _, (_, _, _, r) in tris]
-    bedges = [(check_index(u, ln), check_index(v, ln)) for ln, (u, v, _) in edges]
-    btags = [t for _, (_, _, t) in edges]
+    for table, block_lines in ((tris, tri_lines), (edges, edge_lines)):
+        vertex = table["vertex"]
+        outside = np.flatnonzero(((vertex < 1) | (vertex > nv)).ravel())
+        if len(outside):
+            row, col = divmod(int(outside[0]), vertex.shape[1])
+            raise MeshParseError(
+                f"vertex index {vertex[row, col]} out of range 1..{nv}", line=block_lines[row]
+            )
 
     try:
-        return Mesh(vertices, np.array(triangles, dtype=int).reshape(len(triangles), 3),
-                    region, np.array(bedges, dtype=int).reshape(len(bedges), 2), btags)
+        return Mesh(nodes["xy"], tris["vertex"] - 1, tris["tag"], edges["vertex"] - 1, edges["tag"])
     except MeshError as exc:
         raise MeshParseError(str(exc)) from exc
 

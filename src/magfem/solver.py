@@ -285,9 +285,10 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     2005): comparing energies there compares rounding noise. Exceeding
     max_backtracks raises LineSearchError, exceeding max_iter returns a
     non-converged report, and so does a non-finite residual norm, energy
-    or Newton direction (failure "non_finite"). Passing a list as
-    `history` collects a copy of every iterate's free-dof vector (initial
-    value included).
+    or Newton direction (failure "non_finite") and a direction along which
+    the energy does not descend (failure "linear_solve", before any
+    backtracking). Passing a list as `history` collects a copy of every
+    iterate's free-dof vector (initial value included).
     """
     space = problem.space
     a = zero_coefficients(space) if a0 is None else a0
@@ -334,6 +335,9 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         slope = float(res @ delta)
         if not np.isfinite(slope):
             failure = "non_finite"
+            break
+        if slope >= 0.0:  # not a descent direction: no step size can decrease W
+            failure = "linear_solve"
             break
         inc_norm = assembly.curl_norm(problem, delta)
         if inc_ref is None and inc_norm > 0.0:

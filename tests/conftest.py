@@ -92,3 +92,17 @@ def nan_newton_direction(monkeypatch):
         return x, info
 
     monkeypatch.setattr(solver, "solve_cg", broken)
+
+
+@pytest.fixture
+def reversed_newton_direction(monkeypatch):
+    """Every inner solve returns its direction negated: an ascent direction."""
+    from magfem import solver
+
+    real = solver.solve_cg
+
+    def reversed_(*args, **kwargs):
+        x, info = real(*args, **kwargs)
+        return -x, info
+
+    monkeypatch.setattr(solver, "solve_cg", reversed_)

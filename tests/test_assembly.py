@@ -362,6 +362,26 @@ def test_problem_is_complete_and_read_only_after_construction(source, brauer_law
     assert [name for name, arr in arrays if arr.flags.writeable] == []
 
 
+@pytest.mark.parametrize("own_rule", [True, False])
+def test_fields_of_several_vectors_match_one_at_a_time(small_brauer_problem, own_rule):
+    from magfem.harness import _error_rule
+
+    problem = small_brauer_problem
+    rule = None if own_rule else _error_rule(problem.order)
+    rng = np.random.default_rng(3)
+    vectors = [
+        mf.CoefficientVector(problem.space, rng.standard_normal(problem.space.n_free))
+        for _ in range(2)
+    ]
+    together = mf.fields_at_quadrature(problem, *vectors, rule=rule)
+    assert len(together) == 5
+    for k, v in enumerate(vectors):
+        pts, b, h = mf.fields_at_quadrature(problem, v, rule=rule)
+        assert np.array_equal(together[0], pts)
+        assert np.array_equal(together[1 + 2 * k], b)
+        assert np.array_equal(together[2 + 2 * k], h)
+
+
 def test_newton_does_not_assemble_unit_stiffness(small_brauer_problem, monkeypatch):
     def forbidden(problem):
         raise AssertionError("newton_solve assembled the unit stiffness")

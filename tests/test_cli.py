@@ -252,6 +252,19 @@ def test_non_finite_newton_direction_exits_2(tmp_path, nan_newton_direction):
     assert json.loads(telemetry.read_text())["failure"] == "non_finite"
 
 
+def test_ascent_newton_direction_exits_2(tmp_path, reversed_newton_direction):
+    out = tmp_path / "study.csv"
+    code = main(
+        ["study", "--benchmark", "manufactured", "--degree", "1", "--levels", "2", "--csv", str(out)]
+    )
+    assert code == EXIT_SOLVER
+    assert "linear_solve" in out.read_text().strip().splitlines()[-1]
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG)
+    telemetry = tmp_path / "t.json"
+    assert main(["solve", "--config", cfg, "--out", str(telemetry)]) == EXIT_SOLVER
+    assert json.loads(telemetry.read_text())["failure"] == "linear_solve"
+
+
 def test_study_honors_newton_config(tmp_path):
     cfg = _write(
         tmp_path,

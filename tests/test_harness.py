@@ -265,6 +265,30 @@ def test_reference_refinement_error_monotonicity():
     assert e01 <= 1.05 * e02
 
 
+def test_refinement_errors_tabulate_the_fine_level_once(monkeypatch):
+    # both fields of a level pair come from one table of the fine level's
+    # curls, each through the same einsum as a single-vector evaluation
+    from magfem import assembly, femspace, multigrid
+
+    bench = pm_toy_benchmark()
+    cfg = mf.NewtonConfig()
+    coarse_p, coarse_c, _ = harness.solve_level(bench, 0, cfg, 2)
+    fine_p, fine_c, _ = harness.solve_level(bench, 1, cfg, 2)
+    rule = harness._error_rule(2)
+
+    calls = []
+    tabulate = femspace.tabulate_curl
+    monkeypatch.setattr(femspace, "tabulate_curl", lambda *a: calls.append(1) or tabulate(*a))
+    got = harness._refinement_errors(coarse_p, coarse_c, fine_p, fine_c, rule)
+    assert len(calls) == 1
+
+    P = multigrid.prolongation(fine_p.space, coarse_p.space)
+    on_fine = mf.CoefficientVector(fine_p.space, P @ coarse_c.values)
+    _, *coarse = assembly.fields_at_quadrature(fine_p, on_fine, rule=rule)
+    _, *fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
+    assert got == harness._relative_errors(fine_p.mesh, rule, coarse, fine)
+
+
 def test_study_abort_carries_partial_rows():
     bench = manufactured_benchmark()
     import dataclasses
@@ -291,6 +315,13 @@ def test_study_stops_on_overflowed_residual():
 
 def test_study_stops_on_non_finite_newton_direction(nan_newton_direction):
     with pytest.raises(harness.StudyError, match="non_finite") as err:
+        run_study(manufactured_benchmark(), order=1, levels=2)
+    assert err.value.rows == []
+    assert isinstance(err.value.__cause__, mf.SolverError)
+
+
+def test_study_stops_on_ascent_newton_direction(reversed_newton_direction):
+    with pytest.raises(harness.StudyError, match="linear_solve") as err:
         run_study(manufactured_benchmark(), order=1, levels=2)
     assert err.value.rows == []
     assert isinstance(err.value.__cause__, mf.SolverError)

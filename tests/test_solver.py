@@ -197,6 +197,17 @@ def test_newton_stops_on_non_finite_direction(small_brauer_problem, nan_newton_d
     assert np.all(coeffs.values == 0.0)  # the last finite iterate: the start
 
 
+def test_newton_stops_on_ascent_direction(small_brauer_problem, reversed_newton_direction):
+    # an ascent direction fails before the line search, which could only
+    # backtrack until it gives up
+    coeffs, report = mf.newton_solve(small_brauer_problem)
+    assert not report.converged
+    assert report.failure == "linear_solve"
+    assert report.n_iterations == 0
+    assert np.all(coeffs.values == 0.0)
+    assert '"failure": "linear_solve"' in report.to_json()
+
+
 def _below_rounding_problem(brauer_law):
     # a file mesh (no hierarchy, so Jacobi-PCG) on which the full Newton
     # step's Armijo decrease, about 1e-21, is far below ulp(W) ~ 1e-16
