@@ -204,9 +204,14 @@ def _material_apply(problem, name, b, points=None):
 
 
 def assemble_energy(problem, coeffs):
-    """Discrete magnetic energy W(a_h) = <w(Curl a_h), 1>_h - source term."""
+    """Discrete magnetic energy W(a_h) = <w(Curl a_h), 1>_h - source term.
+
+    NaN when the flux density overflows, which no material law evaluates.
+    """
     weights, areas = problem.rule.weights, problem.space.element_areas
     b = curl_at_quadrature(problem, coeffs)
+    if not np.isfinite(b).all():
+        return np.nan
     w = _material_apply(problem, "w", b)  # (ne, nq)
     integrand = w
     if problem.hs is not None:

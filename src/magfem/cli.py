@@ -3,19 +3,23 @@
 Run configurations are INI-style files with sections [problem], [mesh],
 [material.<region>], [source], [map], and [newton]; see the README for
 the full key list. Exit codes: 0 success, 1 usage/config error, 2 solver
-failure, 3 I/O error.
+failure, 3 I/O error. A ValueError or malformed INI counts as a usage
+error where a command reads its input (arguments, config and mesh); a
+ValueError raised while solving is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import itertools
 import sys
 
 import numpy as np
 
 from . import assembly, geometry, harness, materials, solver
+from .femspace import MAX_SPACE_DEGREE
 from .materials import brauer_c2_residuals
 from .mesh import MeshParseError, generate_unit_square, parse_mesh, refine_uniform, serialize_mesh
 
@@ -27,6 +31,17 @@ EXIT_IO = 3
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """Report a ValueError or malformed INI raised while reading input as a ConfigError."""
+    try:
+        yield
+    except (ConfigError, MeshParseError):
+        raise
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_map(section):
@@ -169,7 +184,8 @@ def _write_fields_csv(problem, coeffs, path):
 
 
 def _cmd_solve(args):
-    problem, cfg = read_problem_config(args.config, mesh_file=args.mesh)
+    with _reading_input():
+        problem, cfg = read_problem_config(args.config, mesh_file=args.mesh)
     coeffs, report = solver.newton_solve(problem, cfg=cfg)
     with open(args.out, "w") as f:
         f.write(report.to_json(config=cfg) + "\n")
@@ -194,12 +210,16 @@ def _cmd_study(args):
         )
         return EXIT_USAGE
     benchmark = catalog[args.benchmark]
+    if args.degree is not None and not 0 <= args.degree < MAX_SPACE_DEGREE:
+        raise ConfigError(f"--degree must be in 0..{MAX_SPACE_DEGREE - 1}, got {args.degree}")
+    if args.levels is not None and args.levels < 2:
+        raise ConfigError(f"--levels must be at least 2 for rates, got {args.levels}")
     cfg = solver.NewtonConfig()
     if args.config:
         parser = configparser.ConfigParser()
-        with open(args.config) as f:
+        with open(args.config) as f, _reading_input():
             parser.read_file(f)
-        cfg = read_newton_config(parser)
+            cfg = read_newton_config(parser)
     try:
         rows = harness.run_study(
             benchmark,
@@ -219,13 +239,13 @@ def _cmd_study(args):
 
 def _cmd_material_check(args):
     params = {}
-    for item in args.params or []:
-        if "=" not in item:
-            raise ConfigError(f"--params entries must be key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        params[key] = float(value)
-
-    law = materials.build_law(args.material, params)
+    with _reading_input():
+        for item in args.params or []:
+            if "=" not in item:
+                raise ConfigError(f"--params entries must be key=value, got {item!r}")
+            key, value = item.split("=", 1)
+            params[key] = float(value)
+        law = materials.build_law(args.material, params)
     if args.material == "brauer":
         bp = law.params
         print(f"s_star = {bp.s_star:.12g} T   a0 = {bp.a0:.12g}   a1 = {bp.a1:.12g}")
@@ -250,7 +270,8 @@ def _cmd_material_check(args):
 
 def _cmd_mesh(args):
     if args.mesh_command == "gen":
-        mesh = generate_unit_square(args.n)
+        with _reading_input():
+            mesh = generate_unit_square(args.n)
         with open(args.out, "w") as f:
             f.write(serialize_mesh(mesh))
         print(f"wrote {mesh.num_triangles} triangles to {args.out}")
@@ -319,7 +340,7 @@ def main(argv=None):
     except solver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -158,7 +158,9 @@ class Mesh:
         if self.boundary_tag.shape != (self.boundary_edges.shape[0],):
             raise MeshError("boundary_tag must have one entry per boundary edge")
 
-        if self.num_triangles and (self.triangles.min() < 0 or self.triangles.max() >= nv):
+        if self.num_triangles == 0:
+            raise MeshError("mesh has no triangles")
+        if self.triangles.min() < 0 or self.triangles.max() >= nv:
             raise MeshError("triangle vertex index out of range")
         if len(self.boundary_edges) and (
             self.boundary_edges.min() < 0 or self.boundary_edges.max() >= nv

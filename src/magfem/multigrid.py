@@ -1,13 +1,22 @@
-"""Geometric multigrid V-cycle over the uniform-refinement hierarchy.
+"""Multigrid V-cycle: geometric levels from refinement, then algebraic ones.
 
 `refine_uniform` nests the Lagrange spaces: a coarse P_p function is a
-fine P_p function, and on the base mesh a P1 function is a P_p function.
-`prolongation` is this embedding on free dofs, exact up to rounding, so
-the Galerkin coarse operators P^T A P stay symmetric positive definite
-and the V-cycle is a symmetric positive definite preconditioner for
-conjugate gradients (Hackbusch, Multi-Grid Methods and Applications,
-1985; Bramble-Pasciak-Xu, Math. Comp. 55, 1990). Study errors use the
-same operator to carry a coarse solution to the next-finer level.
+fine P_p function, and on the base mesh (the mesh without a parent) a P1
+function is a P_p function. `prolongation` is this embedding on free dofs,
+exact up to rounding, so the Galerkin coarse operators P^T A P stay
+symmetric positive definite and the V-cycle is a symmetric positive
+definite preconditioner for conjugate gradients (Hackbusch, Multi-Grid
+Methods and Applications, 1985; Bramble-Pasciak-Xu, Math. Comp. 55, 1990).
+Study errors use the same operator to carry a coarse solution to the
+next-finer level.
+
+Below the base P1 space, while the operator has more than
+MAX_COARSE_DOFS rows, `VCycle` adds levels by smoothed aggregation
+(Vanek-Mandel-Brezina, Computing 56, 1996): strong couplings, aggregates
+around a distance-2 maximal independent set (Bell-Dalton-Olson, SIAM J.
+Sci. Comput. 34, 2012), and a piecewise-constant tentative prolongator
+smoothed by one damped-Jacobi step. A file mesh, which has no parent,
+thus gets the P_p -> P1 step and algebraic levels below it.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ import scipy.sparse as sp
 from .femspace import _reference_nodes, _shape_values, build_space
 from .mesh import child_reference_map, meshes_equal
 
-#: Largest base P1 space whose Galerkin operator is inverted densely (8 MB).
-MAX_COARSE_DOFS = 1000
+#: Largest operator inverted densely (1.3 MB); larger ones get algebraic levels.
+MAX_COARSE_DOFS = 400
 
 #: Damped-Jacobi weight and sweeps per smoothing.
 OMEGA = 0.6
@@ -31,6 +40,19 @@ SWEEPS = 2
 #: positive definite. Since diag(sum_j |a_ij|) - A is positive semidefinite,
 #: W <= L1_BOUND / sum_j |a_ij| bounds lambda_max(W A) by L1_BOUND.
 L1_BOUND = 1.9
+
+#: Strength of connection: a_ij couples i and j strongly when
+#: |a_ij| >= THETA * sqrt(a_ii a_jj) (Vanek-Mandel-Brezina's epsilon).
+THETA = 0.08
+
+#: Prolongator smoothing P = (I - w D^-1 A) T uses w = SA_OMEGA / rho, with
+#: rho = max_i sum_j |a_ij| / a_ii, an upper bound of rho(D^-1 A).
+SA_OMEGA = 4.0 / 3.0
+
+# Multiplier of the index hash that orders aggregation roots (Knuth's
+# 2^32 / golden ratio): a fixed, well-spread priority, so aggregates are
+# bit-identical from build to build.
+_HASH = 2654435761
 
 _CHILD_MAPS = [child_reference_map(c) for c in range(4)]
 _CHILD_MATRIX = np.array([m for m, _ in _CHILD_MAPS])
@@ -76,37 +98,93 @@ def prolongation(fine, coarse):
 def hierarchy(space):
     """Free-dof prolongations from coarser spaces into `space`, finest first.
 
-    One P_p step per refinement down to the base mesh, then P_p -> P1 on
-    the base mesh. Empty, so that CG falls back to Jacobi, when the mesh
-    was not refined from a parent, when no dof is constrained (the coarse
-    operators would be singular), or when the base P1 space has more than
-    MAX_COARSE_DOFS free dofs.
+    One P_p step per refinement down to the base mesh, the mesh without a
+    parent, then P_p -> P1 on the base mesh when p > 1; `VCycle` adds
+    algebraic levels below the last space. Empty, so that CG falls back
+    to Jacobi, when no coarser space exists (P1 on a mesh without a
+    parent) or no dof is constrained (the coarse operators would be
+    singular).
     """
-    meshes = [space.mesh]
-    while meshes[-1].parent is not None:
-        meshes.append(meshes[-1].parent)
-    if len(meshes) == 1 or not space.constrained.any():
+    if not space.constrained.any():
         return ()
-    base = build_space(meshes[-1], 1, space.dirichlet_tags)
-    if base.n_free > MAX_COARSE_DOFS:
-        return ()
-    spaces = [space] + [build_space(m, space.degree, space.dirichlet_tags) for m in meshes[1:]]
-    steps = [prolongation(f, c) for f, c in zip(spaces, spaces[1:])]
+    spaces = [space]
+    while spaces[-1].mesh.parent is not None:
+        spaces.append(build_space(spaces[-1].mesh.parent, space.degree, space.dirichlet_tags))
     if space.degree > 1:
-        steps.append(prolongation(spaces[-1], base))
-    return tuple(steps)
+        spaces.append(build_space(spaces[-1].mesh, 1, space.dirichlet_tags))
+    return tuple(prolongation(f, c) for f, c in zip(spaces, spaces[1:]))
+
+
+def _l1_row_sums(A):
+    return np.add.reduceat(np.abs(A.data), A.indptr[:-1])  # no empty rows in an SPD matrix
 
 
 def _smoother_weights(A):
     """Row weights W: omega / a_ii, lowered where needed so lambda_max(W A) < 2."""
-    l1 = np.add.reduceat(np.abs(A.data), A.indptr[:-1])  # no empty rows in an SPD matrix
-    return np.minimum(OMEGA / A.diagonal(), L1_BOUND / l1)
+    return np.minimum(OMEGA / A.diagonal(), L1_BOUND / _l1_row_sums(A))
+
+
+def aggregate(A):
+    """Aggregate index of every row of the SPD CSR matrix A.
+
+    The graph joins each row to itself and to its strong couplings. Roots
+    form a distance-2 maximal independent set, found in rounds: an
+    undecided row whose hashed priority is the largest among the undecided
+    rows within distance 2 becomes a root, and one with a root within
+    distance 2 drops out. Every other row then joins the aggregate of its
+    highest-priority assigned neighbour, twice, which reaches every row.
+    """
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    diag = A.diagonal()
+    strong = (rows == A.indices) | (
+        np.abs(A.data) >= THETA * np.sqrt(diag[rows] * diag[A.indices])
+    )
+    cols = A.indices[strong]
+    starts = np.concatenate([[0], np.cumsum(np.add.reduceat(strong, A.indptr[:-1]))[:-1]])
+
+    def neighbour_max(values):  # every row holds its diagonal, so none is empty
+        return np.maximum.reduceat(values[cols], starts)
+
+    # distinct in [0, 2^32): uint32 products wrap modulo 2^32
+    priority = (np.arange(n, dtype=np.uint32) * np.uint32(_HASH)).astype(np.int64)
+    state = np.ones(n, dtype=np.int64)  # 0 out, 1 undecided, 2 root
+    while (undecided := state == 1).any():
+        key = state << 32 | priority
+        best = neighbour_max(neighbour_max(key))
+        state[undecided & (best == key)] = 2
+        state[undecided & (best >= 2 << 32)] = 0
+    agg = np.full(n, -1, dtype=np.int64)
+    roots = state == 2
+    agg[roots] = np.arange(np.count_nonzero(roots))
+    for _ in range(2):
+        best = neighbour_max(np.where(agg >= 0, priority * n + agg, -1))
+        join = (agg < 0) & (best >= 0)
+        agg[join] = best[join] % n
+    return agg
+
+
+def aggregation_prolongation(A):
+    """Smoothed-aggregation prolongator (I - w D^-1 A) T for the SPD CSR matrix A.
+
+    T is piecewise constant on the aggregates of `aggregate(A)`.
+    """
+    agg = aggregate(A)
+    n = A.shape[0]
+    T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, int(agg.max()) + 1))
+    diag = A.diagonal()
+    omega = SA_OMEGA / np.max(_l1_row_sums(A) / diag)
+    AT = A @ T
+    AT.data *= np.repeat(omega / diag, np.diff(AT.indptr))
+    return T - AT
 
 
 class VCycle:
     """One V(2,2) cycle with damped Jacobi smoothing as an SPD preconditioner.
 
-    Coarse operators are Galerkin products P^T A P; the coarsest is solved
+    Levels follow `prolongations`, then smoothed-aggregation prolongators
+    while the operator has more than MAX_COARSE_DOFS rows. Coarse
+    operators are Galerkin products P^T A P; the coarsest is solved
     exactly through the inverse of its Cholesky factor. `matrix` must have
     a positive diagonal.
     """
@@ -115,11 +193,25 @@ class VCycle:
         self.levels = []  # (A, smoother weights, P, P^T) per smoothed level
         A = matrix.tocsr()
         for P in prolongations:
-            R = P.T.tocsr()
-            self.levels.append((A, _smoother_weights(A), P, R))
-            A = R @ (A @ P)
+            A = self._coarsen(A, P)
+        while A.shape[0] > MAX_COARSE_DOFS:
+            P = aggregation_prolongation(A)
+            if P.shape[1] == A.shape[0]:
+                break  # no strong couplings left to aggregate
+            A = self._coarsen(A, P)
         inv_factor = np.linalg.inv(np.linalg.cholesky(A.toarray()))
         self.coarse_inverse = inv_factor.T @ inv_factor
+
+    def _coarsen(self, A, P):
+        """Smooth on A, correct through P; returns the Galerkin operator P^T A P."""
+        R = P.T.tocsr()
+        self.levels.append((A, _smoother_weights(A), P, R))
+        return R @ (A @ P)
+
+    @property
+    def sizes(self):
+        """Rows of the operator on every level, finest first."""
+        return [A.shape[0] for A, _, _, _ in self.levels] + [self.coarse_inverse.shape[0]]
 
     def __call__(self, r):
         return self._cycle(0, r)

@@ -17,11 +17,13 @@ Stopping tolerances are relative to the first iteration's residual norm
 and increment norm, which keeps iteration counts comparable across mesh
 refinement levels.
 
-The preconditioner follows the mesh: on a mesh from `refine_uniform`
-each solve builds a multigrid V-cycle over the refinement hierarchy (see
-`multigrid.hierarchy`), whose CG iteration counts stay flat under
-refinement; on any other mesh, or when the hierarchy does not apply, it
-is Jacobi. `CGConfig.jacobi = False` turns preconditioning off.
+Each solve builds a multigrid V-cycle (see `multigrid`): P_p levels
+over the `refine_uniform` hierarchy, the P_p -> P1 step on the base mesh,
+and smoothed-aggregation levels below a large P1 space, so that CG
+iteration counts stay flat under refinement on generated and file meshes
+alike. Jacobi remains where no coarser space exists (P1 on a mesh without
+a parent) or the system is singular (no constrained dof).
+`CGConfig.jacobi = False` turns preconditioning off.
 """
 
 from __future__ import annotations
@@ -117,6 +119,7 @@ class NewtonReport:
     tau_floor: float = None
     contraction_ratios: list = None
     failure: str = None
+    preconditioner: dict = None  # CGInfo.describe() of the first inner solve
 
     @property
     def n_iterations(self):
@@ -141,6 +144,7 @@ class NewtonReport:
             },
             "converged": self.converged,
             "n_iterations": self.n_iterations,
+            "preconditioner": self.preconditioner,
         }
         if self.contraction_ratios is not None:
             doc["contraction_ratios"] = self.contraction_ratios
@@ -154,14 +158,22 @@ class CGInfo:
     iterations: int
     converged: bool
     residual_norm: float
+    preconditioner: str  # "multigrid", "jacobi" or "none"
+    levels: tuple        # operator rows per level, finest first; () if none was built
+
+    def describe(self):
+        """The preconditioner and its level rows, as reports carry them."""
+        return {"kind": self.preconditioner, "levels": list(self.levels)}
 
 
 def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     """Preconditioned conjugate gradients for an SPD sparse system.
 
-    With `cfg.jacobi` the preconditioner is a multigrid V-cycle over
-    `prolongations` (from `multigrid.hierarchy`), built here from
-    `matrix`, or Jacobi when there are none; without it CG is plain.
+    With `cfg.jacobi` the preconditioner is a multigrid V-cycle, built
+    here from `matrix` over `prolongations` (from `multigrid.hierarchy`)
+    and the algebraic levels `multigrid.VCycle` adds below them, or Jacobi
+    when there are none; without it CG is plain. CGInfo names the
+    preconditioner and the rows of its levels.
 
     Iterates until the recursive residual satisfies
     ||r||_2 <= rel_tol ||rhs||_2, then measures the true residual and, if
@@ -176,11 +188,13 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     n = matrix.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     b_norm = float(np.linalg.norm(rhs))
+    kind = "none" if not cfg.jacobi else "multigrid" if prolongations else "jacobi"
     if n == 0 or b_norm == 0.0:
-        return np.zeros(n), CGInfo(iterations=0, converged=True, residual_norm=0.0)
+        return np.zeros(n), CGInfo(0, True, 0.0, kind, ())
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(1000, 5 * n)
     tol = cfg.rel_tol * b_norm
 
+    levels = ()
     if not cfg.jacobi:
         def precondition(r):
             return r
@@ -193,7 +207,9 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
                 precondition = multigrid.VCycle(matrix, prolongations)
             except np.linalg.LinAlgError:
                 raise SolverError("coarse operator not positive definite; not SPD") from None
+            levels = tuple(precondition.sizes)
         else:
+            levels = (n,)
             inv_diag = 1.0 / diag
 
             def precondition(r):
@@ -236,7 +252,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
         rz = rz_new
     if true_res is None:
         true_res = float(np.linalg.norm(rhs - matrix @ x))
-    info = CGInfo(iterations, true_res <= tol, true_res)
+    info = CGInfo(iterations, true_res <= tol, true_res, kind, levels)
     if cfg.strict and not info.converged:
         raise SolverError(
             f"CG did not reach tolerance: residual {true_res:.3e} vs {tol:.3e} "
@@ -284,10 +300,10 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     passes the approximate Wolfe test (Hager-Zhang, SIAM J. Optim. 16,
     2005): comparing energies there compares rounding noise. Exceeding
     max_backtracks raises LineSearchError, exceeding max_iter returns a
-    non-converged report, and so does a non-finite residual norm, energy
-    or Newton direction (failure "non_finite") and a direction along which
-    the energy does not descend (failure "linear_solve", before any
-    backtracking). Passing a list as `history` collects a copy of every
+    non-converged report, and so does a non-finite residual norm, energy,
+    Newton direction or trial energy (failure "non_finite") and a
+    direction along which the energy does not descend (failure
+    "linear_solve", before any backtracking). Passing a list as `history` collects a copy of every
     iterate's free-dof vector (initial value included).
     """
     space = problem.space
@@ -299,6 +315,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     prolongations = multigrid.hierarchy(space) if cfg.cg.jacobi else ()
 
     records = []
+    preconditioner = None
     converged = False
     failure = None
     # an overflow here is reported as failure "non_finite", not as a warning
@@ -329,6 +346,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
 
         hess = assembly.assemble_hessian(problem, CoefficientVector(space, vec))
         delta, cg_info = solve_cg(hess, -res, cfg.cg, prolongations=prolongations)
+        preconditioner = preconditioner or cg_info.describe()
         del hess  # not alive through the next step's assembly peak
         # = <dw(b) - h_s, Curl delta>_h < 0; res is finite here, so the slope
         # is finite exactly when every entry of delta is
@@ -339,7 +357,8 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         if slope >= 0.0:  # not a descent direction: no step size can decrease W
             failure = "linear_solve"
             break
-        inc_norm = assembly.curl_norm(problem, delta)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: see the trial
+            inc_norm = assembly.curl_norm(problem, delta)
         if inc_ref is None and inc_norm > 0.0:
             inc_ref = inc_norm
 
@@ -347,7 +366,13 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         backtracks = 0
         while True:
             trial = vec + tau * delta
-            trial_energy = assembly.assemble_energy(problem, CoefficientVector(space, trial))
+            # a finite direction can still overflow the trial's flux density
+            # or energy; that step is reported as "non_finite", not taken
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_energy = assembly.assemble_energy(problem, CoefficientVector(space, trial))
+            if not np.isfinite(trial_energy):
+                failure = "non_finite"
+                break
             if trial_energy <= energy + cfg.sigma * tau * slope:
                 break
             if -cfg.sigma * tau * slope <= ENERGY_ROUNDING * abs(energy) and _approximate_wolfe(
@@ -362,6 +387,8 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
                     f"energy={trial_energy:.16g}"
                 )
             tau *= cfg.rho
+        if failure is not None:
+            break
 
         records.append(
             IterationRecord.of_step(n, energy, res_norm, tau, backtracks, inc_norm, cg_info)
@@ -387,6 +414,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         q_bound=q,
         tau_floor=tau_floor,
         failure=failure,
+        preconditioner=preconditioner,
     )
     return CoefficientVector(space, vec), report
 
@@ -415,6 +443,7 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
         )
 
     records = []
+    preconditioner = None
     ratios = []
     converged = False
     failure = None
@@ -425,6 +454,7 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
         res = assembly.assemble_residual(problem, coeffs)
         energy = assembly.assemble_energy(problem, coeffs)
         delta, cg_info = solve_cg(K, -tau * res, cfg.cg, prolongations=prolongations)
+        preconditioner = preconditioner or cg_info.describe()
         inc_norm = float(np.sqrt(max(delta @ (K @ delta), 0.0)))
         records.append(
             IterationRecord.of_step(
@@ -456,6 +486,7 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
         tau_floor=tau_floor,
         contraction_ratios=ratios,
         failure=failure,
+        preconditioner=preconditioner,
     )
     return coeffs, report
 

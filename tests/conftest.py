@@ -106,3 +106,18 @@ def reversed_newton_direction(monkeypatch):
         return -x, info
 
     monkeypatch.setattr(solver, "solve_cg", reversed_)
+
+
+@pytest.fixture
+def overflowing_newton_direction(monkeypatch):
+    """Every inner solve returns its direction rescaled to a largest entry of
+    1e308: finite, but the flux density of a full step overflows."""
+    from magfem import solver
+
+    real = solver.solve_cg
+
+    def huge(*args, **kwargs):
+        x, info = real(*args, **kwargs)
+        return x / np.max(np.abs(x)) * 1e308, info
+
+    monkeypatch.setattr(solver, "solve_cg", huge)

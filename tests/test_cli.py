@@ -191,6 +191,32 @@ def test_study_telemetry_dir(tmp_path):
     ]
 
 
+def test_study_telemetry_names_the_preconditioner(tmp_path):
+    tdir = tmp_path / "tele"
+    argv = ["study", "--benchmark", "manufactured", "--degree", "1", "--levels", "2",
+            "--csv", str(tmp_path / "study.csv"), "--telemetry", str(tdir)]
+    assert main(argv) == EXIT_OK
+    for level in (0, 1):
+        doc = json.loads((tdir / f"manufactured_level{level}.json").read_text())
+        precond = doc["preconditioner"]
+        assert precond["kind"] == "multigrid"
+        # P2 on every refinement down to the base mesh, then P1 there
+        assert len(precond["levels"]) == level + 2
+        assert precond["levels"] == sorted(precond["levels"], reverse=True)
+
+
+@pytest.mark.parametrize(
+    "newton, kind, levels",
+    [("", "multigrid", [49, 9]), ("[newton]\ncg_jacobi = false\n", "none", [])],
+)
+def test_solve_telemetry_names_the_preconditioner(tmp_path, newton, kind, levels):
+    # unit_square_n = 4 at k = 1: 49 free P2 dofs and 9 P1 dofs on the same mesh
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG + newton)
+    out = tmp_path / "t.json"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["preconditioner"] == {"kind": kind, "levels": levels}
+
+
 def test_material_check_brauer(capsys):
     assert main(["material-check", "--material", "brauer"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -298,6 +324,14 @@ def test_mesh_refine_missing_file_is_io_error(tmp_path):
     )
 
 
+def test_mesh_refine_empty_mesh_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "empty.msh"
+    path.write_text("$Nodes 0\n$Triangles 0\n$BoundaryEdges 0\n")
+    code = main(["mesh", "refine", "--in", str(path), "--out", str(tmp_path / "out.msh")])
+    assert code == EXIT_IO
+    assert "mesh has no triangles" in capsys.readouterr().err
+
+
 def test_js_with_map_rejected(tmp_path):
     cfg_text = ANNULUS_CONFIG.replace(
         "form = hs\nhs_x = 0.0\nhs_y = 1.0", "form = js\nregion.1 = 10.0"
@@ -329,6 +363,45 @@ def test_solve_overflowed_residual_exits_2(tmp_path, capsys):
     assert doc["converged"] is False
     assert doc["failure"] == "non_finite"
     assert "non_finite" in capsys.readouterr().err
+
+
+def test_solve_overflowing_trial_exits_2(tmp_path, capsys, overflowing_newton_direction):
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG.replace("region.1 = 2000.0", "region.1 = 1e-100"))
+    out = tmp_path / "t.json"
+    code = main(["solve", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_SOLVER
+    assert json.loads(out.read_text())["failure"] == "non_finite"
+    assert capsys.readouterr().err.splitlines()[0] == "solver did not converge: non_finite"
+
+
+def test_value_error_while_solving_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only reading input classifies a ValueError as usage; in a solve it is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("a bug in the solver")
+
+    monkeypatch.setattr(mf.solver, "newton_solve", broken)
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG)
+    with pytest.raises(ValueError, match="a bug in the solver"):
+        main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")])
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_config_without_section_header_is_usage_error(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "run.ini", "k = 1\n")
+    if command == "solve":
+        argv = ["solve", "--config", cfg, "--out", str(tmp_path / "t.json")]
+    else:
+        argv = ["study", "--benchmark", "manufactured", "--config", cfg,
+                "--csv", str(tmp_path / "x.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: File contains no section headers")
+
+
+@pytest.mark.parametrize("flag, value", [("--levels", "1"), ("--degree", "4"), ("--degree", "-1")])
+def test_study_rejects_bad_levels_and_degree(tmp_path, capsys, flag, value):
+    argv = ["study", "--benchmark", "manufactured", "--csv", str(tmp_path / "x.csv"), flag, value]
+    assert main(argv) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_solve_overflowed_residual_prints_no_numpy_warning(tmp_path):

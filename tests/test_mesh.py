@@ -173,6 +173,18 @@ def test_parse_error_names_line_number():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "$Nodes 0\n$Triangles 0\n$BoundaryEdges 0\n",
+        "$Nodes 3\n1 0 0\n2 1 0\n3 0 1\n$Triangles 0\n$BoundaryEdges 0\n",
+    ],
+)
+def test_mesh_without_triangles_is_a_parse_error(text):
+    with pytest.raises(MeshParseError, match="mesh has no triangles"):
+        mf.parse_mesh(text)
+
+
 def test_degenerate_triangle_rejected():
     with pytest.raises(mf.MeshError):
         Mesh(

@@ -1,4 +1,9 @@
-"""Multigrid over the refinement hierarchy: prolongations, V-cycle, fallbacks."""
+"""Multigrid: prolongations, algebraic levels, V-cycle, Jacobi fallbacks."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ SMOOTHER_BOUND = 2.0          # x += W (r - A x) converges iff lambda_max(W A) <
 MAX_CG_PER_NEWTON_STEP = 20   # manufactured k=1, levels 1-3
 SAME_SOLUTION_TOL = 1e-10     # relative curl norm, multigrid vs Jacobi
 BASE_P1_DOFS_40 = 39 * 39     # interior vertices of generate_unit_square(40)
+MAX_CG_PER_SOLVE_PARSED = 30  # P2 on parsed unit squares, n = 16-128 (measured 12-25)
 
 
 def _dirichlet_on_line(mesh):
@@ -162,12 +168,39 @@ def _source(x):
     return np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2])
 
 
-def test_hierarchy_is_empty_for_parsed_mesh():
+def _jacobi_solve(monkeypatch, mesh, order, dirichlet, **source):
+    """The same solve with Jacobi-PCG: no hierarchy, so no V-cycle is built."""
+    with monkeypatch.context() as m:
+        m.setattr(multigrid, "hierarchy", lambda space: ())
+        problem, coeffs, report = _solve(mesh, order, dirichlet, **source)
+    assert report.preconditioner["kind"] == "jacobi"
+    return problem, coeffs, report
+
+
+def _assert_same_solution(problem, a_mg, a_jac):
+    diff = assembly.curl_norm(problem, a_mg.values - a_jac.values)
+    assert diff <= SAME_SOLUTION_TOL * assembly.curl_norm(problem, a_mg.values)
+
+
+def test_hierarchy_of_parsed_mesh_is_the_p_step(monkeypatch):
     mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(4))))
     assert mesh.parent is None
-    problem, _, report = _solve(mesh, 1, {1}, hs_field=_field)
+    problem, a_mg, report = _solve(mesh, 1, {1}, hs_field=_field)
+    steps = multigrid.hierarchy(problem.space)
+    assert [P.shape for P in steps] == [(225, 49)]
+    assert report.converged
+    assert report.preconditioner == {"kind": "multigrid", "levels": [225, 49]}
+    _, a_jac, report_jac = _jacobi_solve(monkeypatch, mesh, 1, {1}, hs_field=_field)
+    assert report_jac.converged
+    _assert_same_solution(problem, a_mg, a_jac)
+
+
+def test_hierarchy_is_empty_for_parentless_p1():
+    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(4))))
+    problem, _, report = _solve(mesh, 0, {1}, hs_field=_field)
     assert multigrid.hierarchy(problem.space) == ()
     assert report.converged
+    assert report.preconditioner == {"kind": "jacobi", "levels": [problem.space.n_free]}
 
 
 def test_hierarchy_is_empty_without_constrained_dofs():
@@ -179,15 +212,26 @@ def test_hierarchy_is_empty_without_constrained_dofs():
     assert report.converged
 
 
-def test_hierarchy_is_empty_for_base_over_the_coarse_cap():
+def test_base_over_the_coarse_cap_gets_algebraic_levels(monkeypatch):
     mesh = mf.refine_uniform(mf.generate_unit_square(40))
     assert build_space(mesh.parent, 1, {1}).n_free == BASE_P1_DOFS_40 > multigrid.MAX_COARSE_DOFS
-    problem, _, report = _solve(mesh, 0, {1}, js_density=lambda x: np.full(len(x), 1e3))
-    assert multigrid.hierarchy(problem.space) == ()
+    source = dict(js_density=lambda x: np.full(len(x), 1e3))
+    problem, a_mg, report = _solve(mesh, 0, {1}, **source)
+    steps = multigrid.hierarchy(problem.space)
+    assert [P.shape[1] for P in steps] == [BASE_P1_DOFS_40]
+    A = assembly.assemble_hessian(problem, a_mg)
+    vcycle = multigrid.VCycle(A, steps)
+    assert len(vcycle.levels) > len(steps)  # algebraic levels below the base
+    assert vcycle.sizes[len(steps)] == BASE_P1_DOFS_40
+    assert vcycle.coarse_inverse.shape[0] <= multigrid.MAX_COARSE_DOFS
     assert report.converged
+    assert report.preconditioner == {"kind": "multigrid", "levels": vcycle.sizes}
+    _, a_jac, report_jac = _jacobi_solve(monkeypatch, mesh, 0, {1}, **source)
+    assert report_jac.converged
+    _assert_same_solution(problem, a_mg, a_jac)
 
 
-def test_multigrid_and_jacobi_give_the_same_solution():
+def test_multigrid_and_jacobi_give_the_same_solution(monkeypatch):
     refined = harness.mesh_at_level(harness.manufactured_benchmark(base_n=4), 2)
     copy = mf.Mesh(
         refined.vertices, refined.triangles, refined.region_tag,
@@ -195,12 +239,11 @@ def test_multigrid_and_jacobi_give_the_same_solution():
     )
     assert refined.parent is not None and copy.parent is None
     problem, a_mg, report_mg = _solve(refined, 1, {1}, hs_field=_field)
-    _, a_jac, report_jac = _solve(copy, 1, {1}, hs_field=_field)
+    _, a_jac, report_jac = _jacobi_solve(monkeypatch, copy, 1, {1}, hs_field=_field)
     assert multigrid.hierarchy(problem.space) != ()
     assert report_mg.converged and report_jac.converged
     assert report_mg.n_iterations == report_jac.n_iterations
-    diff = assembly.curl_norm(problem, a_mg.values - a_jac.values)
-    assert diff <= SAME_SOLUTION_TOL * assembly.curl_norm(problem, a_mg.values)
+    _assert_same_solution(problem, a_mg, a_jac)
 
 
 def test_indefinite_matrix_with_multigrid_raises_solver_error():
@@ -214,3 +257,91 @@ def test_indefinite_matrix_with_multigrid_raises_solver_error():
     A = (K - sp.diags(0.5 * K.diagonal())).tocsr()
     with pytest.raises(solver.SolverError, match="not SPD"):
         solver.solve_cg(A, np.ones(A.shape[0]), prolongations=multigrid.hierarchy(problem.space))
+
+
+def _parsed_square_problem(n, order=1):
+    """cli_io's problem: a linear law driven by a current on a parsed unit square."""
+    mesh = mf.parse_mesh(mf.serialize_mesh(mf.generate_unit_square(n)))
+    return assembly.Problem(
+        mesh=mesh, order=order, materials={1: mf.LinearIsotropic(1000.0)},
+        dirichlet_tags=frozenset({1}), js_density={1: 1e5},
+    )
+
+
+def _base_operator(case):
+    """The base P1 Galerkin operator of a parsed P2 square's Hessian (over
+    the coarse cap), or of pm_toy's saturated P3 Hessian on a refined mesh."""
+    if case == "parsed":
+        problem = _parsed_square_problem(32)
+        A = assembly.assemble_hessian(problem, mf.zero_coefficients(problem.space))
+    else:
+        problem, A = _hessian("pm_toy", 2)
+    for P in multigrid.hierarchy(problem.space):
+        A = (P.T @ A @ P).tocsr()
+    return A
+
+
+@pytest.mark.parametrize("case", ["parsed", "pm_toy"])
+def test_aggregation_puts_every_row_in_exactly_one_aggregate(case):
+    A = _base_operator(case)
+    agg = multigrid.aggregate(A)
+    assert agg.shape == (A.shape[0],) and agg.min() >= 0
+    sizes = np.bincount(agg)
+    assert sizes.min() >= 1 and len(sizes) < A.shape[0]
+    T = (multigrid.aggregation_prolongation(A) != 0).astype(int)
+    # the smoothed prolongator keeps each aggregate's tentative column
+    assert np.all(T[np.arange(A.shape[0]), agg] == 1)
+
+
+@pytest.mark.parametrize("case", ["parsed", "pm_toy"])
+def test_aggregation_is_bit_identical_across_builds(case):
+    first, second = _base_operator(case), _base_operator(case)
+    assert np.array_equal(multigrid.aggregate(first), multigrid.aggregate(second))
+    P1 = multigrid.aggregation_prolongation(first)
+    P2 = multigrid.aggregation_prolongation(second)
+    assert np.array_equal(P1.indptr, P2.indptr) and np.array_equal(P1.indices, P2.indices)
+    assert P1.data.tobytes() == P2.data.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_vcycle_with_algebraic_levels_is_symmetric_positive_definite(order, monkeypatch):
+    monkeypatch.setattr(multigrid, "MAX_COARSE_DOFS", 8)  # aggregate below the base
+    problem, A = _hessian("pm_toy", order)
+    steps = multigrid.hierarchy(problem.space)
+    vcycle = multigrid.VCycle(A, steps)
+    assert len(vcycle.levels) > len(steps)
+    for A_level, weights, _, _ in vcycle.levels:
+        assert _lambda_max(A_level, weights) < SMOOTHER_BOUND
+    M = np.column_stack([vcycle(e) for e in np.eye(A.shape[0])])
+    scale = np.max(np.abs(M))
+    assert np.max(np.abs(M - M.T)) <= SYMMETRY_TOL * scale
+    assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
+
+
+def test_cg_iterations_stay_bounded_on_parsed_meshes():
+    for n in (16, 32, 64, 128):
+        _, report = solver.newton_solve(_parsed_square_problem(n))
+        assert report.converged
+        assert report.preconditioner["kind"] == "multigrid"
+        assert max(rec.cg_iters for rec in report.iterations) <= MAX_CG_PER_SOLVE_PARSED
+
+
+def test_algebraic_levels_import_no_scipy_linear_algebra():
+    # a fresh interpreter: this module itself imports eigsh
+    code = (
+        "import sys, magfem as mf\n"
+        "from magfem import assembly, solver\n"
+        "mesh = mf.parse_mesh(mf.serialize_mesh(mf.generate_unit_square(24)))\n"
+        "problem = assembly.Problem(mesh=mesh, order=1, materials={1: mf.brauer_reference()},\n"
+        "                           dirichlet_tags=frozenset({1}), js_density={1: 1e5})\n"
+        "_, report = solver.newton_solve(problem)\n"
+        "assert report.converged and len(report.preconditioner['levels']) > 2\n"
+        "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    src = str(pathlib.Path(mf.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

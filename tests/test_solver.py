@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,35 @@ def test_newton_stops_on_overflowed_residual(brauer_law):
     assert report.n_iterations == 0
 
 
+def _weak_source_problem(brauer_law):
+    # a source of 1e-100 keeps the slope res . delta of an overflowing
+    # direction finite, so the line search is what meets the overflow
+    return mf.Problem(
+        mesh=mf.generate_unit_square(4),
+        order=1,
+        materials={1: brauer_law},
+        dirichlet_tags=frozenset({1}),
+        hs_field=lambda x: 1e-100 * np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2]),
+    )
+
+
+def test_newton_stops_on_overflowing_trial(brauer_law, overflowing_newton_direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        coeffs, report = mf.newton_solve(_weak_source_problem(brauer_law))
+    assert not report.converged
+    assert report.failure == "non_finite"
+    assert report.n_iterations == 0
+    assert np.all(coeffs.values == 0.0)
+
+
+def test_energy_of_an_overflowed_flux_is_nan(brauer_law):
+    problem = _weak_source_problem(brauer_law)
+    coeffs = CoefficientVector(problem.space, np.full(problem.space.n_free, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(assembly.assemble_energy(problem, coeffs))
+
+
 def test_newton_stops_on_non_finite_direction(small_brauer_problem, nan_newton_direction):
     # a NaN direction is a solver failure, caught before the line search
     # evaluates the energy at a NaN trial
@@ -209,8 +239,8 @@ def test_newton_stops_on_ascent_direction(small_brauer_problem, reversed_newton_
 
 
 def _below_rounding_problem(brauer_law):
-    # a file mesh (no hierarchy, so Jacobi-PCG) on which the full Newton
-    # step's Armijo decrease, about 1e-21, is far below ulp(W) ~ 1e-16
+    # a file mesh (no parent, so multigrid over the P2 -> P1 step alone) on which
+    # the full Newton step's Armijo decrease, about 1e-21, is far below ulp(W) ~ 1e-16
     mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(4))))
     return mf.Problem(
         mesh=mesh,
