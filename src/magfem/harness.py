@@ -14,6 +14,7 @@ always uses a rule two degrees above the assembly rule.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,11 @@ ERROR_MODES = ("manufactured-exact", "successive-refinement", "successive-degree
 
 
 class StudyError(RuntimeError):
-    """A level failed to solve; partial rows are attached."""
+    """A level failed to solve.
+
+    `rows` is always empty: run_study tabulates rows only after every level
+    has been solved, so a failed study has none to carry.
+    """
 
     def __init__(self, message, rows):
         super().__init__(message)
@@ -135,8 +140,13 @@ def run_study(benchmark, cfg=None, order=None, levels=None, telemetry_dir=None):
     """Solve a refinement hierarchy and tabulate errors and rates.
 
     In successive-refinement mode one extra level is solved internally so
-    the finest reported row has an error reference. A solver failure
-    raises StudyError with the completed rows attached.
+    the finest reported row has an error reference. The solves are
+    independent: the largest runs on the calling thread while the others
+    run in order on one helper thread, and the output is bit-identical to
+    solving them one after another. Rows are tabulated only once every
+    solve has finished, so a solver failure raises StudyError with no rows
+    attached, wrapping the SolverError of the first failing solve in that
+    serial order.
     """
     cfg = cfg or solver.NewtonConfig()
     order = benchmark.order if order is None else order
@@ -145,37 +155,35 @@ def run_study(benchmark, cfg=None, order=None, levels=None, telemetry_dir=None):
         raise ValueError("a study needs at least two levels for rates")
     err_rule = _error_rule(order)
 
-    rows = []
+    if benchmark.error_mode == "successive-degree":
+        jobs = [(lv, k) for lv in range(levels) for k in (order, order + 1)]
+    else:
+        extra = benchmark.error_mode == "successive-refinement"
+        jobs = [(lv, order) for lv in range(levels + extra)]
     try:
-        if benchmark.error_mode == "manufactured-exact":
-            results = [solve_level(benchmark, lv, cfg, order) for lv in range(levels)]
-            errors = [
-                _manufactured_errors(benchmark, problem, coeffs, err_rule)
-                for problem, coeffs, _ in results
-            ]
-            _tabulate(rows, results, errors)
-        elif benchmark.error_mode == "successive-refinement":
-            results = [solve_level(benchmark, lv, cfg, order) for lv in range(levels + 1)]
-            errors = []
-            for lv in range(levels):
-                coarse_p, coarse_c, _ = results[lv]
-                fine_p, fine_c, _ = results[lv + 1]
-                errors.append(_refinement_errors(coarse_p, coarse_c, fine_p, fine_c, err_rule))
-            _tabulate(rows, results[:levels], errors)
-        else:  # successive-degree
-            fine_rule = _error_rule(order + 1)
-            results = []
-            errors = []
-            for lv in range(levels):
-                problem, coeffs, report = solve_level(benchmark, lv, cfg, order)
-                problem2, coeffs2, _ = solve_level(benchmark, lv, cfg, order + 1)
-                results.append((problem, coeffs, report))
-                errors.append(
-                    _degree_errors(problem, coeffs, problem2, coeffs2, fine_rule)
-                )
-            _tabulate(rows, results, errors)
+        results = _solve_concurrently(benchmark, cfg, jobs)
     except solver.SolverError as exc:
-        raise StudyError(str(exc), rows) from exc
+        raise StudyError(str(exc), []) from exc
+
+    if benchmark.error_mode == "manufactured-exact":
+        errors = [
+            _manufactured_errors(benchmark, problem, coeffs, err_rule)
+            for problem, coeffs, _ in results
+        ]
+    elif benchmark.error_mode == "successive-refinement":
+        errors = [
+            _refinement_errors(*coarse[:2], *fine[:2], err_rule)
+            for coarse, fine in zip(results, results[1:])
+        ]
+        results = results[:levels]
+    else:  # successive-degree
+        fine_rule = _error_rule(order + 1)
+        low, high = results[0::2], results[1::2]
+        errors = [
+            _degree_errors(*lo[:2], *hi[:2], fine_rule) for lo, hi in zip(low, high)
+        ]
+        results = low
+    rows = _tabulate(results, errors)
 
     if telemetry_dir is not None:
         import pathlib
@@ -188,26 +196,47 @@ def run_study(benchmark, cfg=None, order=None, levels=None, telemetry_dir=None):
     return rows
 
 
-def _tabulate(rows, results, errors):
+def _solve_concurrently(benchmark, cfg, jobs):
+    """solve_level over (level, order) jobs, largest last; results in job order.
+
+    The last job, which alone takes most of a study's time, runs on the
+    calling thread and the others run in order on one helper thread, which
+    is joined before this returns or raises. The first failure in job order
+    is raised, as a serial loop would.
+    """
+    def solve(level, order):
+        return solve_level(benchmark, level, cfg, order)
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        coarse = helper.submit(lambda: [solve(*job) for job in jobs[:-1]])
+        try:
+            last = solve(*jobs[-1])
+        except Exception:
+            coarse.result()  # a failure in an earlier job comes first
+            raise
+        return coarse.result() + [last]
+
+
+def _tabulate(results, errors):
     errs_b = [e[0] for e in errors]
     errs_h = [e[1] for e in errors]
     eoc_b = [None] + compute_eoc(errs_b)
     eoc_h = [None] + compute_eoc(errs_h)
-    for lv, ((problem, coeffs, report), eb, eh, ob, oh) in enumerate(
-        zip(results, errs_b, errs_h, eoc_b, eoc_h)
-    ):
-        rows.append(
-            StudyRow(
-                level=lv,
-                ne=problem.mesh.num_triangles,
-                dof=problem.space.n_free,
-                iter=report.n_iterations,
-                err_b=eb,
-                eoc_b=ob,
-                err_h=eh,
-                eoc_h=oh,
-            )
+    return [
+        StudyRow(
+            level=lv,
+            ne=problem.mesh.num_triangles,
+            dof=problem.space.n_free,
+            iter=report.n_iterations,
+            err_b=eb,
+            eoc_b=ob,
+            err_h=eh,
+            eoc_h=oh,
         )
+        for lv, ((problem, coeffs, report), eb, eh, ob, oh) in enumerate(
+            zip(results, errs_b, errs_h, eoc_b, eoc_h)
+        )
+    ]
 
 
 def _relative_errors(mesh, rule, fields, reference):

@@ -262,7 +262,11 @@ def test_study_abort_writes_partial_csv_and_exits_2(tmp_path):
         ]
     )
     assert code == EXIT_SOLVER
-    assert out.read_text().strip().splitlines()[-1].startswith("# aborted:")
+    # a failed study has no rows: the header and the abort line only
+    assert out.read_text().splitlines() == [
+        "level,ne,dof,iter,err_b,eoc_b,err_h,eoc_h",
+        "# aborted: manufactured level 0 did not converge (max_iter)",
+    ]
 
 
 def test_non_finite_newton_direction_exits_2(tmp_path, nan_newton_direction):
@@ -271,7 +275,7 @@ def test_non_finite_newton_direction_exits_2(tmp_path, nan_newton_direction):
         ["study", "--benchmark", "manufactured", "--degree", "1", "--levels", "2", "--csv", str(out)]
     )
     assert code == EXIT_SOLVER
-    assert "non_finite" in out.read_text().strip().splitlines()[-1]
+    assert out.read_text().splitlines()[-1] == "# aborted: manufactured level 0 did not converge (non_finite)"
     cfg = _write(tmp_path, "run.ini", JS_CONFIG)
     telemetry = tmp_path / "t.json"
     assert main(["solve", "--config", cfg, "--out", str(telemetry)]) == EXIT_SOLVER
@@ -284,7 +288,7 @@ def test_ascent_newton_direction_exits_2(tmp_path, reversed_newton_direction):
         ["study", "--benchmark", "manufactured", "--degree", "1", "--levels", "2", "--csv", str(out)]
     )
     assert code == EXIT_SOLVER
-    assert "linear_solve" in out.read_text().strip().splitlines()[-1]
+    assert out.read_text().splitlines()[-1] == "# aborted: manufactured level 0 did not converge (linear_solve)"
     cfg = _write(tmp_path, "run.ini", JS_CONFIG)
     telemetry = tmp_path / "t.json"
     assert main(["solve", "--config", cfg, "--out", str(telemetry)]) == EXIT_SOLVER
@@ -464,9 +468,12 @@ def test_cli_outputs_are_deterministic(tmp_path):
     outputs = []
     for seed in ("1", "2"):
         tele, fields, study = (tmp_path / f"{seed}.{ext}" for ext in ("json", "fields.csv", "study.csv"))
+        study_tele = tmp_path / f"{seed}.telemetry"
         _magfem(seed, "solve", "--config", cfg, "--out", str(tele), "--fields", str(fields))
         _magfem(seed, "study", "--benchmark", "manufactured", "--degree", "1", "--levels", "2",
-                "--csv", str(study))
-        outputs.append([p.read_bytes() for p in (tele, fields, study)])
+                "--csv", str(study), "--telemetry", str(study_tele))
+        per_level = sorted(study_tele.iterdir())
+        outputs.append([p.name for p in per_level] + [p.read_bytes() for p in (tele, fields, study, *per_level)])
     assert outputs[0] == outputs[1]
+    assert outputs[0][:2] == ["manufactured_level0.json", "manufactured_level1.json"]
     assert all(outputs[0])

@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,10 +295,8 @@ def test_refinement_errors_tabulate_the_fine_level_once(monkeypatch):
 
 def test_study_abort_carries_partial_rows():
     bench = manufactured_benchmark()
-    import dataclasses
-
     cfg = dataclasses.replace(mf.NewtonConfig(), max_iter=1)
-    with pytest.raises(harness.StudyError) as err:
+    with pytest.raises(harness.StudyError, match=r"level 0 did not converge \(max_iter\)") as err:
         run_study(bench, cfg=cfg, order=1, levels=3)
     assert err.value.rows == []
 
@@ -308,23 +310,89 @@ def test_study_stops_on_overflowed_residual():
         error_mode="successive-refinement",
         js_density={1: 1e300},
     )
-    with np.errstate(over="ignore"), pytest.raises(harness.StudyError, match="non_finite") as err:
+    with np.errstate(over="ignore"), pytest.raises(
+        harness.StudyError, match=r"level 0 did not converge \(non_finite\)"
+    ) as err:
         run_study(bench, order=1, levels=2)
     assert err.value.rows == []
 
 
 def test_study_stops_on_non_finite_newton_direction(nan_newton_direction):
-    with pytest.raises(harness.StudyError, match="non_finite") as err:
+    threads = threading.active_count()
+    with pytest.raises(harness.StudyError, match=r"level 0 did not converge \(non_finite\)") as err:
         run_study(manufactured_benchmark(), order=1, levels=2)
     assert err.value.rows == []
     assert isinstance(err.value.__cause__, mf.SolverError)
+    assert threading.active_count() == threads
 
 
 def test_study_stops_on_ascent_newton_direction(reversed_newton_direction):
-    with pytest.raises(harness.StudyError, match="linear_solve") as err:
+    with pytest.raises(harness.StudyError, match=r"level 0 did not converge \(linear_solve\)") as err:
         run_study(manufactured_benchmark(), order=1, levels=2)
     assert err.value.rows == []
     assert isinstance(err.value.__cause__, mf.SolverError)
+
+
+@pytest.mark.parametrize("failing, named", [({0, 1, 2}, 0), ({0}, 0), ({1, 2}, 1), ({2}, 2)])
+def test_study_raises_the_first_failure_in_serial_order(monkeypatch, failing, named):
+    # the finest level runs on the calling thread and the others on a
+    # helper; whichever fails first in time, the study names the level a
+    # serial loop would have stopped at
+    def solve_level(benchmark, level, cfg, order=None):
+        if level in failing:
+            raise mf.SolverError(f"level {level} failed")
+
+    monkeypatch.setattr(harness, "solve_level", solve_level)
+    threads = threading.active_count()
+    with pytest.raises(harness.StudyError, match=f"^level {named} failed$") as err:
+        run_study(manufactured_benchmark(), order=1, levels=3)
+    assert isinstance(err.value.__cause__, mf.SolverError)
+    assert threading.active_count() == threads
+
+
+def _serial_study(bench, cfg, order, levels):
+    """Reference rows and reports: every solve in turn on the calling thread."""
+    rule = harness._error_rule(order)
+    if bench.error_mode == "manufactured-exact":
+        results = [harness.solve_level(bench, lv, cfg, order) for lv in range(levels)]
+        errors = [harness._manufactured_errors(bench, p, c, rule) for p, c, _ in results]
+    elif bench.error_mode == "successive-refinement":
+        solved = [harness.solve_level(bench, lv, cfg, order) for lv in range(levels + 1)]
+        results = solved[:levels]
+        errors = [
+            harness._refinement_errors(*solved[lv][:2], *solved[lv + 1][:2], rule)
+            for lv in range(levels)
+        ]
+    else:
+        results, errors = [], []
+        for lv in range(levels):
+            low = harness.solve_level(bench, lv, cfg, order)
+            high = harness.solve_level(bench, lv, cfg, order + 1)
+            results.append(low)
+            errors.append(harness._degree_errors(*low[:2], *high[:2], harness._error_rule(order + 1)))
+    return harness._tabulate(results, errors), [report for _, _, report in results]
+
+
+@pytest.mark.parametrize("mode", harness.ERROR_MODES)
+def test_study_matches_serial_solves_bit_for_bit(tmp_path, mode):
+    # no built-in benchmark uses successive-degree, so every mode is built
+    # here from the manufactured problem; a tiny switch interval forces
+    # frequent switches between the calling thread and the helper
+    bench = dataclasses.replace(manufactured_benchmark(), name="bits", error_mode=mode)
+    cfg = mf.NewtonConfig()
+    rows, reports = _serial_study(bench, cfg, order=1, levels=3)
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_study(bench, cfg=cfg, order=1, levels=3, telemetry_dir=tmp_path)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert got == rows
+    for lv, report in enumerate(reports):
+        assert (tmp_path / f"bits_level{lv}.json").read_text() == report.to_json(config=cfg)
 
 
 def test_write_study_csv_format(tmp_path, linear_study_rows):
