@@ -1,6 +1,16 @@
 """Shared fixtures and independent integration oracles for the test suite."""
 
-import numpy as np
+import os
+
+# Pin BLAS to one thread before numpy loads, as perfbench/run.py does: the
+# thread count fixes the summation order of dot products, so without the pin
+# the suite's arithmetic depends on the host's core count. Once, criterion 03
+# passed with two OpenBLAS threads and failed with one, on a last-digit rise
+# of a two_wire_disc energy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 from scipy.special import roots_jacobi, roots_legendre
 

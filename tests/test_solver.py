@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import magfem as mf
 from magfem import assembly, solver
 from magfem.femspace import CoefficientVector
-from magfem.harness import manufactured_benchmark, problem_at_level
+from magfem.harness import manufactured_benchmark, pm_toy_benchmark, problem_at_level
 
 from conftest import rng
 
@@ -210,6 +210,17 @@ def test_newton_stops_on_overflowing_trial(brauer_law, overflowing_newton_direct
     assert np.all(coeffs.values == 0.0)
 
 
+def test_newton_stops_on_overflowing_slope(small_brauer_problem, overflowing_newton_direction):
+    # with a unit-size source, the descent check res . delta overflows
+    # before the line search is reached
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        coeffs, report = mf.newton_solve(small_brauer_problem)
+    assert report.failure == "non_finite"
+    assert report.n_iterations == 0
+    assert np.all(coeffs.values == 0.0)
+
+
 def test_energy_of_an_overflowed_flux_is_nan(brauer_law):
     problem = _weak_source_problem(brauer_law)
     coeffs = CoefficientVector(problem.space, np.full(problem.space.n_free, 1e308))
@@ -265,11 +276,13 @@ def test_line_search_below_energy_rounding_uses_the_derivative(brauer_law, monke
 @pytest.mark.parametrize("method", ["newton", "zarantonello"])
 def test_iteration_records_carry_inner_solve(small_brauer_problem, monkeypatch, method):
     infos = []
+    tols = []
     real = solver.solve_cg
 
-    def recording(*args, **kwargs):
-        x, info = real(*args, **kwargs)
+    def recording(matrix, rhs, cfg, **kwargs):
+        x, info = real(matrix, rhs, cfg, **kwargs)
         infos.append(info)
+        tols.append(cfg.rel_tol)
         return x, info
 
     monkeypatch.setattr(solver, "solve_cg", recording)
@@ -283,6 +296,40 @@ def test_iteration_records_carry_inner_solve(small_brauer_problem, monkeypatch, 
     assert [(r.cg_iters, r.cg_converged, r.cg_residual) for r in report.iterations] == [
         (info.iterations, info.converged, info.residual_norm) for info in infos
     ]
+    assert [r.cg_rel_tol for r in report.iterations] == tols
+
+
+def test_forcing_terms_follow_the_residual(small_brauer_problem):
+    cfg = mf.NewtonConfig()
+    _, report = mf.newton_solve(small_brauer_problem, cfg=cfg)
+    first, *later = report.iterations
+    assert first.cg_rel_tol == cfg.cg.rel_tol  # the first solve is exact
+    for rec in later:
+        ratio = rec.residual_norm / first.residual_norm
+        assert rec.cg_rel_tol == max(cfg.cg.rel_tol, min(solver.FORCING_MAX, ratio**2))
+    assert later[0].cg_rel_tol == solver.FORCING_MAX
+
+
+@pytest.mark.parametrize(
+    "make_benchmark, levels",
+    [(pm_toy_benchmark, (0, 1)), (manufactured_benchmark, (0, 1, 2))],
+)
+def test_forcing_keeps_newton_counts_with_fewer_cg_iterations(make_benchmark, levels, monkeypatch):
+    cfg = mf.NewtonConfig()
+    problems = [problem_at_level(make_benchmark(), lv, order=1) for lv in levels]
+    inexact = [mf.newton_solve(p, cfg=cfg) for p in problems]
+    monkeypatch.setattr(solver, "FORCING_MAX", cfg.cg.rel_tol)  # every solve exact
+    exact = [mf.newton_solve(p, cfg=cfg) for p in problems]
+
+    def cg_total(runs):
+        return sum(rec.cg_iters for _, report in runs for rec in report.iterations)
+
+    assert [r.n_iterations for _, r in inexact] == [r.n_iterations for _, r in exact]
+    assert all(r.converged for _, r in inexact)
+    assert cg_total(inexact) < cg_total(exact)
+    for p, (a, _), (b, _) in zip(problems, inexact, exact):
+        gap = assembly.curl_norm(p, a.values - b.values)
+        assert gap <= cfg.tol_increment * assembly.curl_norm(p, b.values)
 
 
 def test_newton_step_floor_with_certified_bounds(small_brauer_problem):
@@ -363,8 +410,8 @@ def test_report_json_round_trip(small_brauer_problem):
     assert doc["certified"]["gamma"] == 400.0
     assert len(doc["iterations"]) == report.n_iterations
     assert set(doc["iterations"][0]) == {
-        "n", "energy", "residual_norm", "tau", "backtracks", "increment_norm", "cg_iters",
-        "cg_converged", "cg_residual",
+        "n", "energy", "residual_norm", "tau", "backtracks", "increment_norm", "cg_rel_tol",
+        "cg_iters", "cg_converged", "cg_residual",
     }
 
 
