@@ -83,7 +83,7 @@ class Problem:
             )
         rule = rule_for_degree(degree)
         space = femspace.build_space(mesh, self.order + 1, self.dirichlet_tags)
-        points = mapped_points(mesh, rule)
+        points = mapped_points(mesh, rule.points)
         ne, nq, _ = points.shape
         flat_points = points.reshape(ne * nq, 2)
         hs = js = None
@@ -178,6 +178,13 @@ def _integrate_against_curls(curls, g):
     return cell
 
 
+def _free_sum(space, cell):
+    """Per-element contributions (ne, nl) summed into each free dof."""
+    res = np.zeros(space.num_dofs)
+    np.add.at(res, space.conn.ravel(), cell.ravel())
+    return res[~space.constrained]
+
+
 def curl_at_quadrature(problem, coeffs):
     """Flux density b = Curl a_h at every quadrature point; (ne, nq, 2)."""
     return np.einsum("el,elqi->eqi", _local_coeffs(problem, coeffs), problem.curls)
@@ -229,7 +236,6 @@ def assemble_residual(problem, coeffs):
     Component i is <dw(Curl a_h) - h_s, Curl phi_i>_h (or the j-form
     variant with -<j_s, phi_i>_h as source).
     """
-    space = problem.space
     b = curl_at_quadrature(problem, coeffs)
     h = _material_apply(problem, "dw", b)  # (ne, nq, 2)
     if problem.hs is not None:
@@ -237,10 +243,7 @@ def assemble_residual(problem, coeffs):
     cell = _integrate_against_curls(problem.curls, problem.wq[..., None] * h)
     if problem.js is not None:
         cell -= np.einsum("eq,eq,ql->el", problem.wq, problem.js, problem.values)
-
-    res = np.zeros(space.num_dofs)
-    np.add.at(res, space.conn.ravel(), cell.ravel())
-    return res[~space.constrained]
+    return _free_sum(problem.space, cell)
 
 
 def residual_scale(problem, coeffs):
@@ -251,7 +254,6 @@ def residual_scale(problem, coeffs):
     floating-point noise of an exactly zero residual (for example a
     uniformly magnetized domain, whose exact solution is a = 0).
     """
-    space = problem.space
     b = curl_at_quadrature(problem, coeffs)
     h = np.abs(_material_apply(problem, "dw", b))
     if problem.hs is not None:
@@ -260,9 +262,7 @@ def residual_scale(problem, coeffs):
     cell = _integrate_against_curls(np.abs(problem.curls), wq[..., None] * h)
     if problem.js is not None:
         cell += np.einsum("eq,eq,ql->el", wq, np.abs(problem.js), np.abs(problem.values))
-    res = np.zeros(space.num_dofs)
-    np.add.at(res, space.conn.ravel(), cell.ravel())
-    return float(np.linalg.norm(res[~space.constrained]))
+    return float(np.linalg.norm(_free_sum(problem.space, cell)))
 
 
 def assemble_hessian(problem, coeffs):
@@ -331,7 +331,7 @@ def fields_at_quadrature(problem, *coeffs, rule=None):
         pts = problem.points
         bs = [curl_at_quadrature(problem, c) for c in coeffs]
     else:
-        pts = mapped_points(problem.mesh, rule)
+        pts = mapped_points(problem.mesh, rule.points)
         curls = femspace.tabulate_curl(problem.space, rule)
         bs = [np.einsum("el,eqli->eqi", _local_coeffs(problem, c), curls) for c in coeffs]
     fields = [pts]

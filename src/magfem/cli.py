@@ -229,7 +229,7 @@ def _cmd_study(args):
             telemetry_dir=args.telemetry,
         )
     except harness.StudyError as exc:
-        harness.write_study_csv(exc.rows, args.csv, aborted=str(exc))
+        harness.write_study_csv([], args.csv, aborted=str(exc))
         print(f"study aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     text = harness.write_study_csv(rows, args.csv)

@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .quadrature import mapped_points
+
 MAX_SPACE_DEGREE = 4
 
 BOUNDARY_COMPATIBILITY_TOL = 1e-10
@@ -195,16 +197,7 @@ def build_space(mesh, degree, dirichlet_tags=frozenset()):
     dof_coords[nv:interior_base] = along.reshape(-1, 2)
     if n_int:
         ref_interior = _reference_nodes(p)[3 + 3 * n_edge :]
-        pts = mesh.vertices[mesh.triangles]
-        v0 = pts[:, 0]
-        d1 = pts[:, 1] - v0
-        d2 = pts[:, 2] - v0
-        phys = (
-            v0[:, None, :]
-            + ref_interior[None, :, 0, None] * d1[:, None, :]
-            + ref_interior[None, :, 1, None] * d2[:, None, :]
-        )
-        dof_coords[interior_base:] = phys.reshape(ne * n_int, 2)
+        dof_coords[interior_base:] = mapped_points(mesh, ref_interior).reshape(ne * n_int, 2)
 
     constrained = np.zeros(num_dofs, dtype=bool)
     on = np.isin(mesh.boundary_tag, sorted(tags))

@@ -88,18 +88,18 @@ def quarter_annulus_map(r_inner, r_outer):
     dr = r_outer - r_inner
     half_pi = 0.5 * np.pi
 
-    def phi(x):
+    def polar(x):
         x = _as_points(x)
-        r = r_inner + dr * x[:, 0]
-        th = half_pi * x[:, 1]
+        return r_inner + dr * x[:, 0], half_pi * x[:, 1]
+
+    def phi(x):
+        r, th = polar(x)
         return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
     def F(x):
-        x = _as_points(x)
-        r = r_inner + dr * x[:, 0]
-        th = half_pi * x[:, 1]
+        r, th = polar(x)
         c, s = np.cos(th), np.sin(th)
-        out = np.empty((len(x), 2, 2))
+        out = np.empty((len(r), 2, 2))
         out[:, 0, 0] = dr * c
         out[:, 0, 1] = -half_pi * r * s
         out[:, 1, 0] = dr * s
@@ -107,8 +107,7 @@ def quarter_annulus_map(r_inner, r_outer):
         return out
 
     def J(x):
-        x = _as_points(x)
-        r = r_inner + dr * x[:, 0]
+        r, _ = polar(x)
         return dr * half_pi * r
 
     return DomainMap(phi=phi, F=F, J=J)
@@ -190,15 +189,3 @@ def pushforward_b(domain_map, x, b):
     out = np.einsum("nij,nj->ni", F, b) / J[:, None]
     return out[0] if single else out
 
-
-def check_jacobian_consistency(domain_map, points, step=1e-6):
-    """Max relative error between F and finite differences of phi."""
-    x = _as_points(points)
-    F, _ = domain_map.jacobians(x)
-    approx = np.empty_like(F)
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = step
-        approx[:, :, j] = (domain_map.phi(x + e) - domain_map.phi(x - e)) / (2 * step)
-    scale = np.maximum(np.linalg.norm(F, axis=(1, 2)), 1e-30)
-    return float(np.max(np.linalg.norm(F - approx, axis=(1, 2)) / scale))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import assembly, geometry, multigrid, solver
 from .femspace import CoefficientVector
-from .materials import NU0, AnisotropicLinear, LinearIsotropic, MaterialLaw, PermanentMagnet, brauer_reference
+from .materials import NU0, AnisotropicLinear, LinearIsotropic, PermanentMagnet, brauer_reference
 from .mesh import Mesh, generate_unit_square, refine_uniform, with_region_tags
 from .quadrature import rule_for_degree
 
@@ -29,15 +29,7 @@ ERROR_MODES = ("manufactured-exact", "successive-refinement", "successive-degree
 
 
 class StudyError(RuntimeError):
-    """A level failed to solve.
-
-    `rows` is always empty: run_study tabulates rows only after every level
-    has been solved, so a failed study has none to carry.
-    """
-
-    def __init__(self, message, rows):
-        super().__init__(message)
-        self.rows = rows
+    """A level failed to solve; run_study raises it before tabulating any row."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +47,6 @@ class Benchmark:
     js_density: object = None
     exact_potential: object = None
     exact_flux: object = None
-    domain_map: object = None
 
     def __post_init__(self):
         if self.error_mode not in ERROR_MODES:
@@ -163,7 +154,7 @@ def run_study(benchmark, cfg=None, order=None, levels=None, telemetry_dir=None):
     try:
         results = _solve_concurrently(benchmark, cfg, jobs)
     except solver.SolverError as exc:
-        raise StudyError(str(exc), []) from exc
+        raise StudyError(str(exc)) from exc
 
     if benchmark.error_mode == "manufactured-exact":
         errors = [
@@ -267,12 +258,6 @@ def _degree_errors(problem, coeffs, problem2, coeffs2, rule):
     _, *low = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
     _, *high = assembly.fields_at_quadrature(problem2, coeffs2, rule=rule)
     return _relative_errors(problem.mesh, rule, low, high)
-
-
-def max_flux_magnitude(problem, coeffs):
-    """Largest |b| over all quadrature points of the problem's rule."""
-    b = assembly.curl_at_quadrature(problem, coeffs)
-    return float(np.max(np.linalg.norm(b, axis=2)))
 
 
 def write_study_csv(rows, path, aborted=None):
@@ -498,73 +483,6 @@ def annulus_mapped_benchmark(base_n=6, order=1, levels=3):
     hs = geometry.pullback_source(amap, _annulus_hs_physical)
     return Benchmark(
         name="annulus_mapped",
-        base_mesh=generate_unit_square(base_n),
-        materials={1: law},
-        dirichlet_tags=frozenset({1}),
-        error_mode="successive-refinement",
-        order=order,
-        levels=levels,
-        hs_field=hs,
-        domain_map=amap,
-    )
-
-
-class SpatialAnisotropicLinear(MaterialLaw):
-    """w = 1/2 <N(x) b, b> with a point-dependent SPD matrix field."""
-
-    def __init__(self, matrix_fn, gamma=None, lipschitz=None):
-        self.matrix_fn = matrix_fn
-        self.gamma = gamma
-        self.lipschitz = lipschitz
-        self.hess_lipschitz = 0.0
-
-    def w(self, x, b):
-        N = self.matrix_fn(np.atleast_2d(x))
-        b = np.atleast_2d(b)
-        return 0.5 * np.einsum("nij,ni,nj->n", N, b, b)
-
-    def dw(self, x, b):
-        N = self.matrix_fn(np.atleast_2d(x))
-        return np.einsum("nij,nj->ni", N, np.atleast_2d(b))
-
-    def d2w(self, x, b):
-        return self.matrix_fn(np.atleast_2d(x)).copy()
-
-
-def annulus_direct_benchmark(base_n=6, order=1, levels=3):
-    """Hand-derived reference-square formulation of the annulus problem.
-
-    The composed coefficient N(x) = F^T N' F / J and source F^T h_s' are
-    written out from the polar map's Jacobian, independently of the
-    generic pull-back machinery, to cross-check it end to end.
-    """
-    dr = ANNULUS_R_OUTER - ANNULUS_R_INNER
-    half_pi = 0.5 * np.pi
-
-    def jac(x):
-        x = np.atleast_2d(x)
-        r = ANNULUS_R_INNER + dr * x[:, 0]
-        th = half_pi * x[:, 1]
-        c, s = np.cos(th), np.sin(th)
-        F = np.empty((len(x), 2, 2))
-        F[:, 0, 0] = dr * c
-        F[:, 0, 1] = -half_pi * r * s
-        F[:, 1, 0] = dr * s
-        F[:, 1, 1] = half_pi * r * c
-        return F, dr * half_pi * r, r, th
-
-    def matrix_fn(x):
-        F, J, _, _ = jac(x)
-        return np.einsum("nki,kl,nlj->nij", F, ANNULUS_MATRIX, F) / J[:, None, None]
-
-    def hs(x):
-        F, _, r, th = jac(x)
-        phys = np.column_stack([-r * np.sin(th), r * np.cos(th)])
-        return np.einsum("nji,nj->ni", F, phys)
-
-    law = SpatialAnisotropicLinear(matrix_fn)
-    return Benchmark(
-        name="annulus_direct",
         base_mesh=generate_unit_square(base_n),
         materials={1: law},
         dirichlet_tags=frozenset({1}),

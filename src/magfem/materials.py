@@ -71,23 +71,23 @@ class IsotropicLaw(MaterialLaw):
         safe = np.where(small, 1.0, s)
         return np.where(small, d2, d1 / safe)
 
-    def w(self, x, b):
+    def _radial(self, b):
+        """The checked batch b, the radii s = |b|, and wt, wt', wt'' at s."""
         b = _as_points(b)
         s = np.linalg.norm(b, axis=1)
-        w0, _, _ = self._profile(s)
+        return b, s, self._profile(s)
+
+    def w(self, x, b):
+        _, _, (w0, _, _) = self._radial(b)
         return w0
 
     def dw(self, x, b):
-        b = _as_points(b)
-        s = np.linalg.norm(b, axis=1)
-        _, d1, d2 = self._profile(s)
+        b, s, (_, d1, d2) = self._radial(b)
         return self._chord(s, d1, d2)[:, None] * b
 
     def d2w(self, x, b):
         # nu(s) I + (wt''(s) - nu(s)) (b/s) (b/s)^T, nu = chord reluctivity
-        b = _as_points(b)
-        s = np.linalg.norm(b, axis=1)
-        _, d1, d2 = self._profile(s)
+        b, s, (_, d1, d2) = self._radial(b)
         nu = self._chord(s, d1, d2)
         small = s < _RADIAL_EPS
         safe = np.where(small, 1.0, s)

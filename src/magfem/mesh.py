@@ -247,19 +247,19 @@ def generate_unit_square(n):
     def vid(i, j):
         return j * (n + 1) + i
 
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
+    j, i = np.divmod(np.arange(n * n), n)  # cells row by row
+    a, b = vid(i, j), vid(i + 1, j)
+    c, d = vid(i + 1, j + 1), vid(i, j + 1)
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
-    edges = []
-    edges += [(vid(i, 0), vid(i + 1, 0)) for i in range(n)]
-    edges += [(vid(n, j), vid(n, j + 1)) for j in range(n)]
-    edges += [(vid(i + 1, n), vid(i, n)) for i in range(n)]
-    edges += [(vid(0, j + 1), vid(0, j)) for j in range(n)]
+    k = np.arange(n)
+    sides = [
+        (vid(k, 0), vid(k + 1, 0)),
+        (vid(n, k), vid(n, k + 1)),
+        (vid(k + 1, n), vid(k, n)),
+        (vid(0, k + 1), vid(0, k)),
+    ]
+    edges = np.concatenate([np.column_stack(side) for side in sides])
 
     return Mesh(
         vertices,
@@ -316,7 +316,7 @@ def child_reference_map(child_index):
     """Affine map from a child's reference coords into its parent's.
 
     `child_index` is the position 0..3 within the parent (fine element
-    4t+c has parent t and child index c).
+    4t+c has parent t and child index c), or an array of such positions.
     """
     return _CHILD_MATRIX[child_index], _CHILD_OFFSET[child_index]
 

@@ -54,10 +54,6 @@ SA_OMEGA = 4.0 / 3.0
 # bit-identical from build to build.
 _HASH = 2654435761
 
-_CHILD_MAPS = [child_reference_map(c) for c in range(4)]
-_CHILD_MATRIX = np.array([m for m, _ in _CHILD_MAPS])
-_CHILD_OFFSET = np.array([off for _, off in _CHILD_MAPS])
-
 # Coarse shape values below this are rounding noise at a zero of the shape
 # function; the nonzero values at fine nodes are rationals far above it.
 _ZERO = 1e-12
@@ -83,9 +79,9 @@ def prolongation(fine, coarse):
     elem, local = np.divmod(first, nl)
     xi = _reference_nodes(fine.degree)[local]
     if refined:
-        child = elem % 4
+        matrix, offset = child_reference_map(elem % 4)
         elem = elem // 4
-        xi = np.einsum("nij,nj->ni", _CHILD_MATRIX[child], xi) + _CHILD_OFFSET[child]
+        xi = np.einsum("nij,nj->ni", matrix, xi) + offset
     vals = _shape_values(coarse.degree, xi)  # (num_dofs, coarse n_local)
     rows = np.broadcast_to(fine.free_index[:, None], vals.shape)
     cols = coarse.free_index[coarse.conn[elem]]

@@ -15,7 +15,6 @@ relative) for all polynomials up to their declared degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -133,19 +132,14 @@ def rule_for_degree(d):
     raise UnsupportedDegreeError(d)  # pragma: no cover
 
 
-def monomial_integral(p, q):
-    """Exact integral of x^p y^q over the reference triangle."""
-    return factorial(p) * factorial(q) / factorial(p + q + 2)
-
-
-def mapped_points(mesh, rule):
-    """Quadrature points mapped to every element; shape (ne, nq, 2)."""
+def mapped_points(mesh, points):
+    """Reference points (n, 2) mapped affinely to every element; (ne, n, 2)."""
     p = mesh.vertices[mesh.triangles]  # (ne, 3, 2)
     v0 = p[:, 0]
     d1 = p[:, 1] - v0
     d2 = p[:, 2] - v0
-    x = rule.points[:, 0]
-    y = rule.points[:, 1]
+    x = points[:, 0]
+    y = points[:, 1]
     return (
         v0[:, None, :]
         + x[None, :, None] * d1[:, None, :]
@@ -160,7 +154,7 @@ def discrete_inner_product(mesh, rule, u, v):
     are contracted with the Euclidean dot product. The reduction order is
     fixed (element-major) so results are reproducible.
     """
-    pts = mapped_points(mesh, rule)
+    pts = mapped_points(mesh, rule.points)
     ne, nq, _ = pts.shape
     flat = pts.reshape(ne * nq, 2)
     uu = np.asarray(u(flat), dtype=float)

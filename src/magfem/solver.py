@@ -67,7 +67,6 @@ class CGConfig:
     rel_tol: float = 1e-12
     max_iter: int = None
     jacobi: bool = True
-    strict: bool = False
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     ill-conditioned systems the true residual bottoms out at the rounding
     floor eps ||A|| ||x||, which no amount of iteration cures).
     Deterministic: fixed start x = 0, fixed reduction order. Budget
-    exhaustion or a rounding-floor stall is reported in CGInfo and raised
-    only in strict mode.
+    exhaustion or a rounding-floor stall is reported in CGInfo.
     """
     n = matrix.shape[0]
     rhs = np.asarray(rhs, dtype=float)
@@ -267,24 +265,21 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
         rz = rz_new
     if true_res is None:
         true_res = float(np.linalg.norm(rhs - matrix @ x))
-    info = CGInfo(iterations, true_res <= tol, true_res, kind, levels)
-    if cfg.strict and not info.converged:
-        raise SolverError(
-            f"CG did not reach tolerance: residual {true_res:.3e} vs {tol:.3e} "
-            f"after {iterations} iterations"
-        )
-    return x, info
+    return x, CGInfo(iterations, true_res <= tol, true_res, kind, levels)
 
 
 def _certified(problem, cfg):
+    """NewtonReport's certified fields; empty when a law lacks convexity bounds."""
     bounds = problem.certified_bounds()
     if bounds is None:
-        return None, None, None, None
+        return {}
     gamma, lip = bounds
-    ratio = gamma / lip
-    q = 1.0 - 4.0 * cfg.rho * cfg.sigma * (1.0 - cfg.sigma) * ratio**3
-    tau_floor = min(1.0, 2.0 * cfg.rho * (1.0 - cfg.sigma) * gamma / lip)
-    return gamma, lip, q, tau_floor
+    return {
+        "gamma": gamma,
+        "lipschitz": lip,
+        "q_bound": 1.0 - 4.0 * cfg.rho * cfg.sigma * (1.0 - cfg.sigma) * (gamma / lip) ** 3,
+        "tau_floor": min(1.0, 2.0 * cfg.rho * (1.0 - cfg.sigma) * gamma / lip),
+    }
 
 
 #: Relative rounding level of an assembled energy: a decrease demanded below
@@ -329,7 +324,6 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     vec = a.values.copy()
     if history is not None:
         history.append(vec.copy())
-    gamma, lip, q, tau_floor = _certified(problem, cfg)
     prolongations = multigrid.hierarchy(space) if cfg.cg.jacobi else ()
 
     records = []
@@ -435,12 +429,9 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         converged=converged,
         final_energy=energy,
         final_residual_norm=res_norm,
-        gamma=gamma,
-        lipschitz=lip,
-        q_bound=q,
-        tau_floor=tau_floor,
         failure=failure,
         preconditioner=preconditioner,
+        **_certified(problem, cfg),
     )
     return CoefficientVector(space, vec), report
 
@@ -460,11 +451,12 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
     vec = a.values.copy()
     K = assembly.assemble_unit_stiffness(problem)
     prolongations = multigrid.hierarchy(space) if cfg.cg.jacobi else ()
-    gamma, lip, q, tau_floor = _certified(problem, cfg)
-    if gamma is not None and tau >= 2.0 * gamma / lip**2:
+    certified = _certified(problem, cfg)
+    tau_max = 2.0 * certified["gamma"] / certified["lipschitz"] ** 2 if certified else np.inf
+    if tau >= tau_max:
         warnings.warn(
             f"step size tau = {tau:g} is outside the certified contraction range "
-            f"(0, {2.0 * gamma / lip**2:g}); the iteration may not converge",
+            f"(0, {tau_max:g}); the iteration may not converge",
             stacklevel=2,
         )
 
@@ -506,13 +498,10 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
         converged=converged,
         final_energy=assembly.assemble_energy(problem, coeffs),
         final_residual_norm=float(np.linalg.norm(res)),
-        gamma=gamma,
-        lipschitz=lip,
-        q_bound=q,
-        tau_floor=tau_floor,
         contraction_ratios=ratios,
         failure=failure,
         preconditioner=preconditioner,
+        **certified,
     )
     return coeffs, report
 

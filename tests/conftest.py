@@ -10,11 +10,16 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+from math import factorial  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 import magfem as mf
+from magfem import assembly
+from magfem.harness import ANNULUS_MATRIX, ANNULUS_R_INNER, ANNULUS_R_OUTER, Benchmark
+from magfem.materials import MaterialLaw
 
 
 def conical_rule(n):
@@ -64,6 +69,98 @@ def l2_norm_oracle(mesh, sampler, degree):
     sq = sq.reshape(ne, nq)
     areas = np.abs(mesh.signed_areas())
     return float(np.sqrt((sq @ wts) @ areas))
+
+
+def monomial_integral(p, q):
+    """Exact integral of x^p y^q over the reference triangle."""
+    return factorial(p) * factorial(q) / factorial(p + q + 2)
+
+
+def max_flux_magnitude(problem, coeffs):
+    """Largest |b| over all quadrature points of the problem's rule."""
+    b = assembly.curl_at_quadrature(problem, coeffs)
+    return float(np.max(np.linalg.norm(b, axis=2)))
+
+
+def check_jacobian_consistency(domain_map, points, step=1e-6):
+    """Max relative error between F and finite differences of phi."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    F, _ = domain_map.jacobians(x)
+    approx = np.empty_like(F)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = step
+        approx[:, :, j] = (domain_map.phi(x + e) - domain_map.phi(x - e)) / (2 * step)
+    scale = np.maximum(np.linalg.norm(F, axis=(1, 2)), 1e-30)
+    return float(np.max(np.linalg.norm(F - approx, axis=(1, 2)) / scale))
+
+
+class SpatialAnisotropicLinear(MaterialLaw):
+    """w = 1/2 <N(x) b, b> with a point-dependent SPD matrix field."""
+
+    def __init__(self, matrix_fn, gamma=None, lipschitz=None):
+        self.matrix_fn = matrix_fn
+        self.gamma = gamma
+        self.lipschitz = lipschitz
+        self.hess_lipschitz = 0.0
+
+    def w(self, x, b):
+        N = self.matrix_fn(np.atleast_2d(x))
+        b = np.atleast_2d(b)
+        return 0.5 * np.einsum("nij,ni,nj->n", N, b, b)
+
+    def dw(self, x, b):
+        N = self.matrix_fn(np.atleast_2d(x))
+        return np.einsum("nij,nj->ni", N, np.atleast_2d(b))
+
+    def d2w(self, x, b):
+        return self.matrix_fn(np.atleast_2d(x)).copy()
+
+
+def annulus_direct_benchmark(base_n=6, order=1, levels=3):
+    """Hand-derived reference-square formulation of the annulus problem.
+
+    The composed coefficient N(x) = F^T N' F / J and source F^T h_s' are
+    written out from the polar map's Jacobian, independently of the
+    generic pull-back machinery, to cross-check it end to end.
+    """
+    dr = ANNULUS_R_OUTER - ANNULUS_R_INNER
+    half_pi = 0.5 * np.pi
+
+    def jac(x):
+        x = np.atleast_2d(x)
+        r = ANNULUS_R_INNER + dr * x[:, 0]
+        th = half_pi * x[:, 1]
+        c, s = np.cos(th), np.sin(th)
+        F = np.empty((len(x), 2, 2))
+        F[:, 0, 0] = dr * c
+        F[:, 0, 1] = -half_pi * r * s
+        F[:, 1, 0] = dr * s
+        F[:, 1, 1] = half_pi * r * c
+        return F, dr * half_pi * r, r, th
+
+    def matrix_fn(x):
+        F, J, _, _ = jac(x)
+        return np.einsum("nki,kl,nlj->nij", F, ANNULUS_MATRIX, F) / J[:, None, None]
+
+    def hs(x):
+        F, _, r, th = jac(x)
+        phys = np.column_stack([-r * np.sin(th), r * np.cos(th)])
+        return np.einsum("nji,nj->ni", F, phys)
+
+    law = SpatialAnisotropicLinear(matrix_fn)
+    return Benchmark(
+        name="annulus_direct",
+        base_mesh=mf.generate_unit_square(base_n),
+        materials={1: law},
+        dirichlet_tags=frozenset({1}),
+        error_mode="successive-refinement",
+        order=order,
+        levels=levels,
+        hs_field=hs,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,8 @@ import magfem as mf
 from magfem import assembly, harness
 from magfem.femspace import CoefficientVector, eval_curl_batch, tabulate_curl
 from magfem.materials import NU0
-from magfem.quadrature import STORED_DEGREES, monomial_integral, rule_for_degree
+from magfem.quadrature import STORED_DEGREES, rule_for_degree
 from magfem.harness import (
-    annulus_direct_benchmark,
     annulus_mapped_benchmark,
     manufactured_benchmark,
     pm_toy_benchmark,
@@ -25,7 +24,7 @@ from magfem.harness import (
     two_wire_disc_benchmark,
 )
 
-from conftest import l2_norm_oracle, rng
+from conftest import annulus_direct_benchmark, l2_norm_oracle, monomial_integral, rng
 
 
 def _report(criterion, ok, detail):

@@ -34,6 +34,41 @@ def test_unit_square_rejects_zero():
         mf.generate_unit_square(0)
 
 
+def _unit_square_by_cells(n):
+    """The unit-square mesh written out cell by cell and side by side."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    vx, vy = np.meshgrid(xs, xs, indexing="xy")
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            triangles.append((a, b, c))
+            triangles.append((a, c, d))
+    edges = []
+    edges += [(vid(i, 0), vid(i + 1, 0)) for i in range(n)]
+    edges += [(vid(n, j), vid(n, j + 1)) for j in range(n)]
+    edges += [(vid(i + 1, n), vid(i, n)) for i in range(n)]
+    edges += [(vid(0, j + 1), vid(0, j)) for j in range(n)]
+    return Mesh(
+        np.column_stack([vx.ravel(), vy.ravel()]),
+        triangles,
+        np.ones(len(triangles), dtype=int),
+        edges,
+        np.ones(len(edges), dtype=int),
+    )
+
+
+def test_unit_square_matches_cell_by_cell_numbering():
+    # row order fixes dof numbering, so every index array must match exactly
+    for n in range(1, 41):
+        assert meshes_equal(mf.generate_unit_square(n), _unit_square_by_cells(n)), n
+
+
 def test_refine_quadruples_triangles():
     m = mf.generate_unit_square(1)
     r = mf.refine_uniform(m)

@@ -6,11 +6,10 @@ import magfem as mf
 from magfem.quadrature import (
     MAX_DEGREE,
     STORED_DEGREES,
-    monomial_integral,
     rule_for_degree,
 )
 
-from conftest import conical_rule
+from conftest import conical_rule, monomial_integral
 
 
 def test_centroid_rule():

@@ -70,15 +70,6 @@ def test_cg_budget_exhaustion_reported_not_raised():
     assert info.iterations == 3
 
 
-def test_cg_strict_mode_raises():
-    generator = rng(13)
-    M = generator.normal(size=(40, 40))
-    A = sp.csr_matrix(M @ M.T + 1e-3 * np.eye(40))
-    b = generator.normal(size=40)
-    with pytest.raises(solver.SolverError):
-        mf.solve_cg(A, b, solver.CGConfig(rel_tol=1e-14, max_iter=3, strict=True))
-
-
 def test_cg_deterministic():
     generator = rng(14)
     M = generator.normal(size=(25, 25))
