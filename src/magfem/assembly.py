@@ -86,23 +86,22 @@ class Problem:
         points = mapped_points(mesh, rule.points)
         ne, nq, _ = points.shape
         flat_points = points.reshape(ne * nq, 2)
+        region_rows = {
+            tag: np.nonzero(mesh.region_tag == tag)[0]
+            for tag in sorted(mesh.region_tags_present())
+        }
         hs = js = None
         if self.hs_field is not None:
             hs = np.asarray(self.hs_field(flat_points), float).reshape(ne, nq, 2)
         elif isinstance(self.js_density, dict):
-            per_element = np.array(
-                [float(self.js_density.get(int(t), 0.0)) for t in mesh.region_tag]
-            )
-            js = np.broadcast_to(per_element[:, None], (ne, nq)).copy()
+            js = np.empty((ne, nq))
+            for tag, rows in region_rows.items():  # one lookup per region
+                js[rows] = float(self.js_density.get(tag, 0.0))
         elif self.js_density is not None:
             js = np.asarray(self.js_density(flat_points), float).reshape(ne, nq)
         curls = np.ascontiguousarray(femspace.tabulate_curl(space, rule).transpose(0, 2, 1, 3))
         values = femspace.tabulate_values(space, rule)
         wq = rule.weights[None, :] * space.element_areas[:, None]
-        region_rows = {
-            tag: np.nonzero(mesh.region_tag == tag)[0]
-            for tag in sorted(mesh.region_tags_present())
-        }
         slots, indices, indptr = _csr_pattern(space)
         # all fresh arrays; hs and js are reshaped views, so a caller-owned
         # base keeps its own flags
@@ -140,41 +139,54 @@ class Problem:
 def _csr_pattern(space):
     """CSR pattern of the free-dof operators and each local entry's slot in it.
 
-    The int64 keys row * n + col of all (e, i, j) entries are sorted and
-    deduplicated once. Entries that touch a constrained dof all get the
-    key n * n, which sorts last, so they share the trailing slot nnz.
-    Returns (slots, indices, indptr), in int32 whenever nnz fits.
+    The int64 keys row * n + col of all (e, i, j) entries are sorted once;
+    a key's slot is the number of distinct keys below it. Entries that
+    touch a constrained dof all get the key n * n, which sorts last, so
+    they share the trailing slot nnz. Each temporary is released as soon
+    as it has been read, so the call holds about three key-sized arrays at
+    once. Returns (slots, indices, indptr), in int32 whenever nnz fits.
     """
     n = space.n_free
     free = space.free_index[space.conn]  # (ne, nl), -1 where constrained
     keys = free[:, :, None] * n + free[:, None, :]
     keys[(free < 0)[:, :, None] | (free < 0)[:, None, :]] = n * n
-    unique, slots = np.unique(keys, return_inverse=True)
+    shape = keys.shape
+    order = np.argsort(keys, axis=None)
+    keys = keys.ravel()[order]  # sorted; the unsorted keys are dropped
+    new = np.empty(keys.shape, dtype=bool)  # first of its run of equal keys
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    unique = keys[new]
+    del keys
     nnz = int(np.searchsorted(unique, n * n))
-    unique = unique[:nnz]
     index = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
+    rank = np.cumsum(new, dtype=index)
+    del new
+    rank -= 1
+    slots = np.empty(rank.shape, dtype=index)
+    slots[order] = rank
+    del order, rank
+    unique = unique[:nnz]
     indptr = np.searchsorted(unique, np.arange(n + 1) * n)
-    return (
-        slots.reshape(keys.shape).astype(index),
-        (unique % n).astype(index),
-        indptr.astype(index),
-    )
+    return slots.reshape(shape), (unique % n).astype(index), indptr.astype(index)
 
 
 def _local_coeffs(problem, coeffs):
     return coeffs.full()[problem.space.conn]  # (ne, nl)
 
 
-def _integrate_against_curls(curls, g):
+def _integrate_against_curls(curls, g, magnitude=False):
     """Per-element sums of g . Curl phi_l over the points; (ne, nl).
 
     `g` is (ne, nq, 2) and already carries the quadrature weights. The
     sum runs over the points in order, x before y at each: a fixed order,
-    batched over elements and local functions.
+    batched over elements and local functions. With `magnitude`, |Curl
+    phi_l| takes the place of Curl phi_l, taken one point at a time.
     """
     cell = np.zeros(curls.shape[:2])
     for q in range(curls.shape[2]):
-        cell += g[:, q, None, 0] * curls[:, :, q, 0] + g[:, q, None, 1] * curls[:, :, q, 1]
+        c = np.abs(curls[:, :, q]) if magnitude else curls[:, :, q]
+        cell += g[:, q, None, 0] * c[..., 0] + g[:, q, None, 1] * c[..., 1]
     return cell
 
 
@@ -259,7 +271,7 @@ def residual_scale(problem, coeffs):
     if problem.hs is not None:
         h = h + np.abs(problem.hs)
     wq = np.abs(problem.wq)  # the weights are positive
-    cell = _integrate_against_curls(np.abs(problem.curls), wq[..., None] * h)
+    cell = _integrate_against_curls(problem.curls, wq[..., None] * h, magnitude=True)
     if problem.js is not None:
         cell += np.einsum("eq,eq,ql->el", wq, np.abs(problem.js), np.abs(problem.values))
     return float(np.linalg.norm(_free_sum(problem.space, cell)))
@@ -272,6 +284,8 @@ def assemble_hessian(problem, coeffs):
     """
     b = curl_at_quadrature(problem, coeffs)
     nu_d = _material_apply(problem, "d2w", b)  # (ne, nq, 2, 2)
+    del b
+    nu_d *= problem.wq[..., None, None]  # owned here, so weighted in place
     return _scatter_matrix(problem, nu_d)
 
 
@@ -280,30 +294,38 @@ def assemble_unit_stiffness(problem):
 
     The fixed-point iteration's preconditioner; built afresh on each call.
     """
-    ne, nq = problem.wq.shape
-    return _scatter_matrix(problem, np.broadcast_to(np.eye(2), (ne, nq, 2, 2)))
+    return _scatter_matrix(problem, problem.wq[..., None, None] * np.eye(2))
 
 
-def _scatter_matrix(problem, nu_d):
-    """<nu_d Curl phi_j, Curl phi_i>_h over free dofs, as CSR on the problem's pattern.
+#: Elements per batch of the Hessian kernel, which bounds its temporaries.
+ELEMENT_BATCH = 2048
 
-    Two batched matrix products: u = Curl phi_l . (wq nu_d) at every point,
-    written element-major, then the element matrices as u Curl phi_m^T
-    contracted over the points and components. np.bincount then sums each
-    slot's entries in element order.
+
+def _scatter_matrix(problem, t):
+    """<t Curl phi_j, Curl phi_i> summed over the points, as CSR on the problem's pattern.
+
+    `t` is (ne, nq, 2, 2) and already carries the quadrature weights. Per
+    batch of ELEMENT_BATCH elements, two batched matrix products: u =
+    Curl phi_l . t at every point, written element-major, then the element
+    matrices as u Curl phi_m^T contracted over the points and components.
+    np.add.at adds each entry into its slot, in element order across the
+    batches, so every slot is summed in the same order as in one batch.
     """
     curls = problem.curls
     ne, nl, nq, _ = curls.shape
-    t = problem.wq[..., None, None] * nu_d  # (ne, nq, 2, 2)
-    u = np.empty(curls.shape)
-    np.matmul(curls.transpose(0, 2, 1, 3), t, out=u.transpose(0, 2, 1, 3))
-    flat = curls.reshape(ne, nl, nq * 2)
-    cell = u.reshape(ne, nl, nq * 2) @ flat.transpose(0, 2, 1)  # (ne, nl, nl)
     nnz = len(problem.indices)
-    data = np.bincount(problem.slots.ravel(), weights=cell.ravel(), minlength=nnz + 1)[:nnz]
+    data = np.zeros(nnz + 1)
+    for start in range(0, ne, ELEMENT_BATCH):
+        batch = slice(start, start + ELEMENT_BATCH)
+        c = curls[batch]
+        u = np.empty(c.shape)
+        np.matmul(c.transpose(0, 2, 1, 3), t[batch], out=u.transpose(0, 2, 1, 3))
+        flat = c.reshape(-1, nl, nq * 2)
+        cell = u.reshape(flat.shape) @ flat.transpose(0, 2, 1)  # (batch, nl, nl)
+        np.add.at(data, problem.slots[batch].ravel(), cell.ravel())
     n = problem.space.n_free
     # the matrix owns its index arrays, so no scipy operation can reach the pattern
-    mat = sp.csr_matrix((data, problem.indices.copy(), problem.indptr.copy()), shape=(n, n))
+    mat = sp.csr_matrix((data[:nnz], problem.indices.copy(), problem.indptr.copy()), shape=(n, n))
     mat.has_canonical_format = True  # sorted, duplicate-free columns by construction
     return mat
 

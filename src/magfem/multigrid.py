@@ -181,12 +181,16 @@ class VCycle:
     Levels follow `prolongations`, then smoothed-aggregation prolongators
     while the operator has more than MAX_COARSE_DOFS rows. Coarse
     operators are Galerkin products P^T A P; the coarsest is solved
-    exactly through the inverse of its Cholesky factor. `matrix` must have
-    a positive diagonal.
+    exactly through the inverse of its Cholesky factor. Where aggregation
+    stalls (no strong couplings left) above MAX_COARSE_DOFS rows, no dense
+    matrix is formed (`coarse_inverse` is None): that operator is smoothed
+    as one more level, whose coarsest "solve" is its own weighted-Jacobi
+    step W r. W is SPD, so the cycle stays SPD. `matrix` must have a
+    positive diagonal.
     """
 
     def __init__(self, matrix, prolongations):
-        self.levels = []  # (A, smoother weights, P, P^T) per smoothed level
+        self.levels = []  # (A, smoother weights, P, P^T) per smoothed level; P None if stalled
         A = matrix.tocsr()
         for P in prolongations:
             A = self._coarsen(A, P)
@@ -195,8 +199,14 @@ class VCycle:
             if P.shape[1] == A.shape[0]:
                 break  # no strong couplings left to aggregate
             A = self._coarsen(A, P)
-        inv_factor = np.linalg.inv(np.linalg.cholesky(A.toarray()))
-        self.coarse_inverse = inv_factor.T @ inv_factor
+        if A.shape[0] > MAX_COARSE_DOFS:
+            # aggregation stalled: smooth this operator as one more level, with
+            # no coarser one below it
+            self.levels.append((A, _smoother_weights(A), None, None))
+            self.coarse_inverse = None
+        else:
+            inv_factor = np.linalg.inv(np.linalg.cholesky(A.toarray()))
+            self.coarse_inverse = inv_factor.T @ inv_factor
 
     def _coarsen(self, A, P):
         """Smooth on A, correct through P; returns the Galerkin operator P^T A P."""
@@ -207,7 +217,8 @@ class VCycle:
     @property
     def sizes(self):
         """Rows of the operator on every level, finest first."""
-        return [A.shape[0] for A, _, _, _ in self.levels] + [self.coarse_inverse.shape[0]]
+        sizes = [A.shape[0] for A, _, _, _ in self.levels]
+        return sizes if self.coarse_inverse is None else sizes + [self.coarse_inverse.shape[0]]
 
     def __call__(self, r):
         return self._cycle(0, r)
@@ -219,7 +230,10 @@ class VCycle:
         x = d * r
         for _ in range(SWEEPS - 1):
             x += d * (r - A @ x)
-        x += P @ self._cycle(level + 1, R @ (r - A @ x))
+        if P is None:  # the stalled coarsest level: its weighted-Jacobi step
+            x += d * (r - A @ x)
+        else:
+            x += P @ self._cycle(level + 1, R @ (r - A @ x))
         for _ in range(SWEEPS):
             x += d * (r - A @ x)
         return x

@@ -5,9 +5,17 @@ solves the symmetric positive definite Newton system with preconditioned
 conjugate gradients, backtracks over the step
 grid 1, rho, rho^2, ... until the Armijo decrease condition holds (or,
 where the decrease it demands is below the energy's rounding, its
-derivative form), and records telemetry: energy, residual norm, step size, backtrack count,
-curl norm of the increment, and the inner solve's tolerance, iteration
-count, convergence flag and true residual norm.
+derivative form), and records telemetry: energy, residual norm, step size,
+backtrack count, which test accepted the step, curl norm of the increment,
+and the inner solve's tolerance, iteration count, convergence flag and
+true residual norm.
+
+A step that the derivative form accepts records as its energy the
+trapezoid estimate W + tau (slope + d) / 2 from the slope at both ends,
+not the assembled trial energy, which is rounding noise there. Hager and
+Zhang build their approximate Wolfe test on that estimate (SIAM J. Optim.
+16, 2005); it is exact for a quadratic energy, and the passed test bounds
+it by W + sigma tau slope < W, so recorded energies never rise.
 
 The Newton steps are inexact. The first inner solve runs to
 `cfg.cg.rel_tol`; step k > 0 runs to the forcing term
@@ -95,6 +103,7 @@ class IterationRecord:
     residual_norm: float
     tau: float
     backtracks: int
+    accepted_by: str  # "armijo", "derivative", or "full" (fixed point, no line search)
     increment_norm: float
     cg_rel_tol: float
     cg_iters: int
@@ -102,7 +111,9 @@ class IterationRecord:
     cg_residual: float
 
     @classmethod
-    def of_step(cls, n, energy, residual_norm, tau, backtracks, increment_norm, cg_rel_tol, cg):
+    def of_step(
+        cls, n, energy, residual_norm, tau, backtracks, accepted_by, increment_norm, cg_rel_tol, cg
+    ):
         """Record of step n, whose inner solve was given `cg_rel_tol`; the
         inner solve's other fields come from its CGInfo `cg`."""
         return cls(
@@ -111,6 +122,7 @@ class IterationRecord:
             residual_norm=residual_norm,
             tau=tau,
             backtracks=backtracks,
+            accepted_by=accepted_by,
             increment_norm=increment_norm,
             cg_rel_tol=cg_rel_tol,
             cg_iters=cg.iterations,
@@ -293,13 +305,15 @@ FORCING_MAX = 0.1
 def _approximate_wolfe(problem, trial, delta, slope, sigma):
     """Hager-Zhang's approximate Armijo test on the exact directional derivative.
 
-    d/dtau W(a + tau delta) at the trial is res(trial) . delta, since the
-    residual is the exact gradient of the assembled energy. For a quadratic
-    energy, res(trial) . delta <= (2 sigma - 1) slope is the same condition
-    as Armijo's, and it needs no energy difference.
+    d/dtau W(a + tau delta) at the trial is d = res(trial) . delta, since
+    the residual is the exact gradient of the assembled energy. For a
+    quadratic energy, d <= (2 sigma - 1) slope is the same condition as
+    Armijo's, and it needs no energy difference. Returns (passed, d,
+    res(trial)).
     """
     res = assembly.assemble_residual(problem, CoefficientVector(problem.space, trial))
-    return float(res @ delta) <= (2.0 * sigma - 1.0) * slope
+    d = float(res @ delta)
+    return d <= (2.0 * sigma - 1.0) * slope, d, res
 
 
 def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
@@ -311,7 +325,8 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     the Armijo test demands is below the energy's rounding level, a trial
     that fails it is still accepted when the exact directional derivative
     passes the approximate Wolfe test (Hager-Zhang, SIAM J. Optim. 16,
-    2005): comparing energies there compares rounding noise. Exceeding
+    2005): comparing energies there compares rounding noise, so the step
+    records the trapezoid energy estimate (module docstring). Exceeding
     max_backtracks raises LineSearchError, exceeding max_iter returns a
     non-converged report, and so does a non-finite residual norm, energy,
     Newton direction or trial energy (failure "non_finite") and a
@@ -384,6 +399,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
 
         tau = 1.0
         backtracks = 0
+        trial_res = None  # the residual at the trial, where the derivative test assembled it
         while True:
             trial = vec + tau * delta
             # a finite direction can still overflow the trial's flux density
@@ -394,11 +410,17 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
                 failure = "non_finite"
                 break
             if trial_energy <= energy + cfg.sigma * tau * slope:
+                accepted_by = "armijo"
                 break
-            if -cfg.sigma * tau * slope <= ENERGY_ROUNDING * abs(energy) and _approximate_wolfe(
-                problem, trial, delta, slope, cfg.sigma
-            ):
-                break
+            if -cfg.sigma * tau * slope <= ENERGY_ROUNDING * abs(energy):
+                passed, d, trial_res = _approximate_wolfe(problem, trial, delta, slope, cfg.sigma)
+                if passed:
+                    # the assembled trial energy is rounding noise here; record the
+                    # trapezoid estimate of the decrease, exact for a quadratic
+                    # energy and at most sigma tau slope < 0 since the test passed
+                    accepted_by = "derivative"
+                    trial_energy = energy + 0.5 * tau * (slope + d)
+                    break
             backtracks += 1
             if backtracks > cfg.max_backtracks:
                 raise LineSearchError(
@@ -411,14 +433,19 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
             break
 
         records.append(
-            IterationRecord.of_step(n, energy, res_norm, tau, backtracks, inc_norm, eta, cg_info)
+            IterationRecord.of_step(
+                n, energy, res_norm, tau, backtracks, accepted_by, inc_norm, eta, cg_info
+            )
         )
         vec = trial
         energy = trial_energy
         if history is not None:
             history.append(vec.copy())
         with np.errstate(over="ignore", invalid="ignore"):
-            res = assembly.assemble_residual(problem, CoefficientVector(space, vec))
+            if accepted_by == "derivative":
+                res = trial_res
+            else:
+                res = assembly.assemble_residual(problem, CoefficientVector(space, vec))
             res_norm = float(np.linalg.norm(res))
         if inc_norm <= cfg.tol_increment * (inc_ref or 0.0):
             converged = True
@@ -476,7 +503,8 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
         inc_norm = float(np.sqrt(max(delta @ (K @ delta), 0.0)))
         records.append(
             IterationRecord.of_step(
-                n, energy, float(np.linalg.norm(res)), tau, 0, inc_norm, cfg.cg.rel_tol, cg_info
+                n, energy, float(np.linalg.norm(res)), tau, 0, "full", inc_norm, cfg.cg.rel_tol,
+                cg_info,
             )
         )
         if prev_inc is not None and prev_inc > 0.0:

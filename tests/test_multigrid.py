@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, cg, eigsh
 
 import magfem as mf
 from magfem import assembly, harness, multigrid, solver
@@ -345,3 +345,26 @@ def test_algebraic_levels_import_no_scipy_linear_algebra():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_stalled_aggregation_over_the_coarse_cap_factors_no_dense_matrix(monkeypatch):
+    # off-diagonals at 0.01 sqrt(a_ii a_jj), below THETA: no strong coupling,
+    # so aggregation keeps every one of the 1,200 rows
+    n = 3 * multigrid.MAX_COARSE_DOFS
+    diag = 1.0 + np.random.default_rng(0).random(n)
+    off = -0.01 * np.sqrt(diag[:-1] * diag[1:])
+    A = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    assert multigrid.aggregation_prolongation(A).shape == (n, n)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
+    vcycle = multigrid.VCycle(A, ())
+    assert max(factored, default=0) <= multigrid.MAX_COARSE_DOFS
+    assert vcycle.coarse_inverse is None and vcycle.sizes == [n]
+    M = np.column_stack([vcycle(e) for e in np.eye(n)])
+    assert np.max(np.abs(M - M.T)) <= SYMMETRY_TOL * np.max(np.abs(M))
+    assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
+    rhs = np.ones(n)
+    x, info = cg(A, rhs, rtol=1e-12, M=LinearOperator(A.shape, matvec=vcycle))
+    assert info == 0
+    assert np.linalg.norm(rhs - A @ x) <= 1e-10 * np.linalg.norm(rhs)

@@ -264,6 +264,40 @@ def test_line_search_below_energy_rounding_uses_the_derivative(brauer_law, monke
     assert report.failure == "max_iter"
 
 
+def test_derivative_accepted_steps_record_the_trapezoid_energy(brauer_law, monkeypatch):
+    problem = _below_rounding_problem(brauer_law)
+    passed_tests = []  # (slope, d) of every trial the derivative test accepted
+    real = solver._approximate_wolfe
+
+    def recording(problem, trial, delta, slope, sigma):
+        passed, d, res = real(problem, trial, delta, slope, sigma)
+        if passed:
+            passed_tests.append((slope, d))
+        return passed, d, res
+
+    monkeypatch.setattr(solver, "_approximate_wolfe", recording)
+    coeffs, report = mf.newton_solve(problem)
+    assert report.converged
+    kinds = [rec.accepted_by for rec in report.iterations]
+    assert kinds.count("derivative") == len(passed_tests) >= 1
+    assert set(kinds) <= {"armijo", "derivative"}
+    energies = report.energies()
+    sigma = mf.NewtonConfig().sigma
+    accepted = iter(passed_tests)
+    for rec, after in zip(report.iterations, energies[1:]):
+        if rec.accepted_by == "armijo":
+            assert after < rec.energy
+        else:
+            slope, d = next(accepted)
+            decrease = 0.5 * rec.tau * (slope + d)  # the trapezoid estimate
+            assert decrease <= sigma * rec.tau * slope < 0.0
+            # a decrease below half an ulp of W leaves the recorded value at W
+            assert after == rec.energy + decrease <= rec.energy
+    # the residual assembled by the derivative test is the final iterate's
+    final = assembly.assemble_residual(problem, coeffs)
+    assert report.final_residual_norm == float(np.linalg.norm(final))
+
+
 @pytest.mark.parametrize("method", ["newton", "zarantonello"])
 def test_iteration_records_carry_inner_solve(small_brauer_problem, monkeypatch, method):
     infos = []
@@ -401,8 +435,8 @@ def test_report_json_round_trip(small_brauer_problem):
     assert doc["certified"]["gamma"] == 400.0
     assert len(doc["iterations"]) == report.n_iterations
     assert set(doc["iterations"][0]) == {
-        "n", "energy", "residual_norm", "tau", "backtracks", "increment_norm", "cg_rel_tol",
-        "cg_iters", "cg_converged", "cg_residual",
+        "n", "energy", "residual_norm", "tau", "backtracks", "accepted_by", "increment_norm",
+        "cg_rel_tol", "cg_iters", "cg_converged", "cg_residual",
     }
 
 
@@ -414,6 +448,7 @@ def test_fixed_point_report_serializes_contraction_ratios(small_brauer_problem):
     _, report = mf.zarantonello_solve(small_brauer_problem, tau=gamma / lip**2, cfg=cfg)
     doc = json.loads(report.to_json(config=cfg))
     assert len(doc["contraction_ratios"]) == 2
+    assert [rec["accepted_by"] for rec in doc["iterations"]] == ["full"] * 3  # no line search
     assert doc["failure"] == "max_iter"
     assert doc["config"]["max_iter"] == 3
 
