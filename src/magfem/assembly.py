@@ -33,9 +33,12 @@ class Problem:
     js_density (out-of-plane current density, A/m^2) may be set; both
     unset means a purely magnet-driven problem. js_density may also be a
     {region tag: constant} dict, which keeps wire currents aligned with
-    element boundaries on every refinement level. `order` is the curl
-    degree k; the potential lives in Lagrange elements of degree k+1 and
-    the default quadrature is exact to degree 2k.
+    element boundaries on every refinement level. The source is a fixed
+    linear functional of the potential, so it is integrated once into the
+    free-dof vector `load`, and the discrete energy is
+    W(a) = <w(Curl a), 1>_h - <load, a>. `order` is the curl degree k; the
+    potential lives in Lagrange elements of degree k+1 and the default
+    quadrature is exact to degree 2k.
 
     Everything an assembly reads is tabulated once, at construction, into
     the read-only arrays below; nothing is assigned afterwards. The basis
@@ -57,11 +60,9 @@ class Problem:
     rule: object = field(init=False)
     points: np.ndarray = field(init=False)  # (ne, nq, 2) mapped quadrature points
     curls: np.ndarray = field(init=False)   # (ne, n_local, nq, 2) basis curls
-    values: np.ndarray = field(init=False)  # (nq, n_local) basis values
     wq: np.ndarray = field(init=False)      # (ne, nq) weights times element areas
     region_rows: dict = field(init=False)   # {region tag: element indices}
-    hs: np.ndarray = field(init=False)      # (ne, nq, 2) source field samples, or None
-    js: np.ndarray = field(init=False)      # (ne, nq) current density samples, or None
+    load: np.ndarray = field(init=False)    # (n_free,) the source's load vector
     slots: np.ndarray = field(init=False)   # (ne, n_local, n_local) CSR slot per local entry
     indices: np.ndarray = field(init=False)  # (nnz,) CSR column indices, sorted per row
     indptr: np.ndarray = field(init=False)  # (n_free + 1,) CSR row pointers
@@ -90,29 +91,28 @@ class Problem:
             tag: np.nonzero(mesh.region_tag == tag)[0]
             for tag in sorted(mesh.region_tags_present())
         }
-        hs = js = None
+        curls = np.ascontiguousarray(femspace.tabulate_curl(space, rule).transpose(0, 2, 1, 3))
+        wq = rule.weights[None, :] * space.element_areas[:, None]
+        slots, indices, indptr = _csr_pattern(space)  # first: the source temporaries miss its peak
+        cell = np.zeros(curls.shape[:2])
         if self.hs_field is not None:
             hs = np.asarray(self.hs_field(flat_points), float).reshape(ne, nq, 2)
-        elif isinstance(self.js_density, dict):
-            js = np.empty((ne, nq))
-            for tag, rows in region_rows.items():  # one lookup per region
-                js[rows] = float(self.js_density.get(tag, 0.0))
+            cell = np.einsum("elqi,eqi->el", curls, wq[..., None] * hs)
         elif self.js_density is not None:
-            js = np.asarray(self.js_density(flat_points), float).reshape(ne, nq)
-        curls = np.ascontiguousarray(femspace.tabulate_curl(space, rule).transpose(0, 2, 1, 3))
-        values = femspace.tabulate_values(space, rule)
-        wq = rule.weights[None, :] * space.element_areas[:, None]
-        slots, indices, indptr = _csr_pattern(space)
-        # all fresh arrays; hs and js are reshaped views, so a caller-owned
-        # base keeps its own flags
-        fresh = (points, curls, values, wq, hs, js, slots, indices, indptr)
-        for arr in (*fresh, *region_rows.values()):
-            if arr is not None:
-                arr.flags.writeable = False
+            if isinstance(self.js_density, dict):
+                js = np.empty((ne, nq))
+                for tag, rows in region_rows.items():  # one lookup per region
+                    js[rows] = float(self.js_density.get(tag, 0.0))
+            else:
+                js = np.asarray(self.js_density(flat_points), float).reshape(ne, nq)
+            cell = np.einsum("eq,eq,ql->el", wq, js, femspace.tabulate_values(space, rule))
+        load = _free_sum(space, cell)
+        for arr in (points, curls, wq, load, slots, indices, indptr, *region_rows.values()):
+            arr.flags.writeable = False
         for name, value in (
             ("quad_degree", degree), ("rule", rule), ("space", space),
-            ("points", points), ("curls", curls), ("values", values), ("wq", wq),
-            ("region_rows", region_rows), ("hs", hs), ("js", js),
+            ("points", points), ("curls", curls), ("wq", wq),
+            ("region_rows", region_rows), ("load", load),
             ("slots", slots), ("indices", indices), ("indptr", indptr),
         ):
             object.__setattr__(self, name, value)
@@ -223,7 +223,7 @@ def _material_apply(problem, name, b, points=None):
 
 
 def assemble_energy(problem, coeffs):
-    """Discrete magnetic energy W(a_h) = <w(Curl a_h), 1>_h - source term.
+    """Discrete magnetic energy W(a_h) = <w(Curl a_h), 1>_h - <load, a_h>.
 
     NaN when the flux density overflows, which no material law evaluates.
     """
@@ -232,49 +232,33 @@ def assemble_energy(problem, coeffs):
     if not np.isfinite(b).all():
         return np.nan
     w = _material_apply(problem, "w", b)  # (ne, nq)
-    integrand = w
-    if problem.hs is not None:
-        integrand = w - np.sum(problem.hs * b, axis=2)
-    total = float((integrand @ weights) @ areas)
-    if problem.js is not None:
-        a_vals = _local_coeffs(problem, coeffs) @ problem.values.T  # (ne, nq)
-        total -= float(((problem.js * a_vals) @ weights) @ areas)
-    return total
+    return float((w @ weights) @ areas) - float(problem.load @ coeffs.values)
 
 
 def assemble_residual(problem, coeffs):
-    """Gradient of the discrete energy over free dofs.
+    """Gradient of W = <w>_h - <load, a> over free dofs.
 
-    Component i is <dw(Curl a_h) - h_s, Curl phi_i>_h (or the j-form
-    variant with -<j_s, phi_i>_h as source).
+    Component i is <dw(Curl a_h), Curl phi_i>_h - load_i.
     """
     b = curl_at_quadrature(problem, coeffs)
     h = _material_apply(problem, "dw", b)  # (ne, nq, 2)
-    if problem.hs is not None:
-        h = h - problem.hs
-    cell = _integrate_against_curls(problem.curls, problem.wq[..., None] * h)
-    if problem.js is not None:
-        cell -= np.einsum("eq,eq,ql->el", problem.wq, problem.js, problem.values)
-    return _free_sum(problem.space, cell)
+    h *= problem.wq[..., None]  # owned here, so weighted in place
+    return _free_sum(problem.space, _integrate_against_curls(problem.curls, h)) - problem.load
 
 
 def residual_scale(problem, coeffs):
-    """Rounding-floor scale of the residual: norm of the |integrand| sums.
+    """Rounding-floor scale of the residual of W = <w>_h - <load, a>.
 
-    The residual entries are sums of terms that may cancel; this is the
-    same assembly with absolute values, so eps times it bounds the
+    The norm of the free-dof sums of <|dw|, |Curl phi_i|>_h plus |load_i|:
+    the residual's terms, each taken absolutely, so eps times it bounds the
     floating-point noise of an exactly zero residual (for example a
     uniformly magnetized domain, whose exact solution is a = 0).
     """
     b = curl_at_quadrature(problem, coeffs)
     h = np.abs(_material_apply(problem, "dw", b))
-    if problem.hs is not None:
-        h = h + np.abs(problem.hs)
-    wq = np.abs(problem.wq)  # the weights are positive
-    cell = _integrate_against_curls(problem.curls, wq[..., None] * h, magnitude=True)
-    if problem.js is not None:
-        cell += np.einsum("eq,eq,ql->el", wq, np.abs(problem.js), np.abs(problem.values))
-    return float(np.linalg.norm(_free_sum(problem.space, cell)))
+    h *= problem.wq[..., None]  # the weights are positive
+    cell = _integrate_against_curls(problem.curls, h, magnitude=True)
+    return float(np.linalg.norm(_free_sum(problem.space, cell) + np.abs(problem.load)))
 
 
 def assemble_hessian(problem, coeffs):

@@ -96,7 +96,9 @@ class IsotropicLaw(MaterialLaw):
         out = np.zeros((len(s), 2, 2))
         out[:, 0, 0] = nu
         out[:, 1, 1] = nu
-        out += (d2 - nu)[:, None, None] * unit[:, :, None] * unit[:, None, :]
+        c = d2 - nu
+        for i, j in np.ndindex(2, 2):  # one entry at a time: no (n, 2, 2) temporaries
+            out[:, i, j] += (c * unit[:, i]) * unit[:, j]
         return out
 
 

@@ -72,14 +72,23 @@ MAX_REFINEMENTS = 4
 
 @dataclass(frozen=True)
 class CGConfig:
+    """Inner-solve parameters; rel_tol in (0, 1), max_iter None or >= 1."""
+
     rel_tol: float = 1e-12
     max_iter: int = None
     jacobi: bool = True
 
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"cg_rel_tol must be in (0, 1), got {self.rel_tol}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"cg_max_iter must be at least 1, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Damped-Newton parameters; rho in (0, 1/2], sigma in (0, 1/2)."""
+    """Damped-Newton parameters; rho in (0, 1/2], sigma in (0, 1/2),
+    finite tolerances >= 0, and iteration limits >= 0."""
 
     rho: float = 0.5
     sigma: float = 0.01
@@ -94,6 +103,12 @@ class NewtonConfig:
             raise ValueError("rho must be in (0, 1/2]")
         if not 0.0 < self.sigma < 0.5:
             raise ValueError("sigma must be in (0, 1/2)")
+        for name in ("tol_increment", "tol_residual"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("max_iter", "max_backtracks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

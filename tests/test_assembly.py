@@ -14,7 +14,7 @@ from magfem.assembly import (
     assemble_unit_stiffness,
 )
 from magfem import assembly
-from magfem.femspace import CoefficientVector, build_space, tabulate_curl
+from magfem.femspace import CoefficientVector, build_space, tabulate_curl, tabulate_values
 from magfem.materials import NU0
 
 from conftest import rng
@@ -106,13 +106,13 @@ def test_residual_at_zero_is_minus_load():
     res = assemble_residual(problem, mf.zero_coefficients(problem.space))
     # dw(0) = 0, so the residual is exactly the negated load vector
     wq = problem.rule.weights[None, :] * problem.space.element_areas[:, None]
-    from magfem.femspace import tabulate_curl
-
     curls = tabulate_curl(problem.space, problem.rule)
-    cell = np.einsum("eq,eqi,eqli->el", wq, problem.hs, curls)
+    hs_vals = hs(problem.points.reshape(-1, 2)).reshape(problem.points.shape)
+    cell = np.einsum("eq,eqi,eqli->el", wq, hs_vals, curls)
     load = np.zeros(problem.space.num_dofs)
     np.add.at(load, problem.space.conn.ravel(), cell.ravel())
     assert np.allclose(res, -load[~problem.space.constrained], atol=1e-14)
+    assert np.array_equal(res, -problem.load)
 
 
 def test_hessian_matches_residual_differences(brauer_law):
@@ -360,8 +360,9 @@ def test_problem_is_complete_and_read_only_after_construction(source, brauer_law
     mf.fields_at_quadrature(problem, coeffs, rule=_error_rule(problem.order))
     assert (_state(problem), _state(problem.space)) == before
     arrays = list(_arrays(problem)) + list(_arrays(problem.space))
-    assert {"curls", "points", "values", "wq", "conn"} <= {name for name, _ in arrays}
+    assert {"curls", "points", "load", "wq", "conn"} <= {name for name, _ in arrays}
     assert [name for name, arr in arrays if arr.flags.writeable] == []
+    assert not any(hasattr(problem, name) for name in ("hs", "js", "values"))  # only the load
 
 
 @pytest.mark.parametrize("own_rule", [True, False])
@@ -487,9 +488,9 @@ def test_residual_scale_matches_the_absolute_assembly(brauer_law):
     problem = _problem(brauer_law, n=4, order=2, hs=lambda x: np.column_stack([x[:, 1], -x[:, 0]]))
     coeffs = _random_coeffs(problem, scale=0.1, seed=13)
     b = assembly.curl_at_quadrature(problem, coeffs)
-    h = np.abs(assembly._material_apply(problem, "dw", b)) + np.abs(problem.hs)
+    h = np.abs(assembly._material_apply(problem, "dw", b))
     cell = assembly._integrate_against_curls(np.abs(problem.curls), problem.wq[..., None] * h)
-    want = float(np.linalg.norm(assembly._free_sum(problem.space, cell)))
+    want = float(np.linalg.norm(assembly._free_sum(problem.space, cell) + np.abs(problem.load)))
     assert assembly.residual_scale(problem, coeffs) == want
 
 
@@ -504,5 +505,76 @@ def test_region_current_densities_follow_the_region_tags():
         mesh=mesh, order=1, materials={1: law, 2: law, 7: law},
         dirichlet_tags=frozenset({1}), js_density=density,
     )
-    want = np.array([density.get(int(t), 0.0) for t in tags])
-    assert np.array_equal(problem.js, np.broadcast_to(want[:, None], problem.js.shape))
+    # load_i = sum over regions of j_region * integral of phi_i over the region
+    phi = problem.wq[:, :, None] * tabulate_values(problem.space, problem.rule)[None]
+    want = np.zeros(problem.space.num_dofs)
+    for tag, j in density.items():
+        rows = np.nonzero(tags == tag)[0]
+        np.add.at(want, problem.space.conn[rows].ravel(), j * phi[rows].sum(axis=1).ravel())
+    want = want[~problem.space.constrained]
+    assert np.allclose(problem.load, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def _sampled_energy_and_residual(problem, coeffs):
+    """Reference energy and residual that sample the source on every call.
+
+    h_s enters the integrand of both; j_s is integrated against the basis
+    values. No load vector is used.
+    """
+    ne, nq, _ = problem.points.shape
+    flat = problem.points.reshape(-1, 2)
+    hs = js = None
+    if problem.hs_field is not None:
+        hs = np.asarray(problem.hs_field(flat), float).reshape(ne, nq, 2)
+    elif isinstance(problem.js_density, dict):
+        js = np.array([problem.js_density.get(int(t), 0.0) for t in problem.mesh.region_tag])
+        js = np.repeat(js[:, None], nq, axis=1)
+    elif problem.js_density is not None:
+        js = np.asarray(problem.js_density(flat), float).reshape(ne, nq)
+    values = tabulate_values(problem.space, problem.rule)
+    weights, areas = problem.rule.weights, problem.space.element_areas
+    b = assembly.curl_at_quadrature(problem, coeffs)
+    integrand = assembly._material_apply(problem, "w", b)
+    h = assembly._material_apply(problem, "dw", b)
+    if hs is not None:
+        integrand = integrand - np.sum(hs * b, axis=2)
+        h = h - hs
+    energy = float((integrand @ weights) @ areas)
+    cell = assembly._integrate_against_curls(problem.curls, problem.wq[..., None] * h)
+    if js is not None:
+        a_vals = coeffs.full()[problem.space.conn] @ values.T
+        energy -= float(((js * a_vals) @ weights) @ areas)
+        cell -= np.einsum("eq,eq,ql->el", problem.wq, js, values)
+    return energy, assembly._free_sum(problem.space, cell)
+
+
+def _source_problem(source, brauer_law):
+    from magfem.harness import annulus_mapped_benchmark, problem_at_level
+
+    if source == "annulus":
+        return problem_at_level(annulus_mapped_benchmark(order=2), 1)
+    mesh = mf.generate_unit_square(4)
+    tags = np.where(np.arange(mesh.num_triangles) % 3 == 0, 2, 1)
+    tags[5] = 7  # a region without a current
+    mesh = mf.with_region_tags(mesh, tags)
+    kw = {
+        "hs": {"hs_field": lambda x: np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2])},
+        "js_dict": {"js_density": {1: 3.0e3, 2: -250.0}},
+        "js_callable": {"js_density": lambda x: 1e3 * np.cos(2.0 * x[:, 0]) * x[:, 1]},
+        "none": {},
+    }[source]
+    materials = {1: brauer_law, 2: mf.LinearIsotropic(2.0), 7: brauer_law}
+    return Problem(mesh=mesh, order=2, materials=materials, dirichlet_tags=frozenset({1}), **kw)
+
+
+@pytest.mark.parametrize("source", ["hs", "js_dict", "js_callable", "none", "annulus"])
+def test_load_vector_matches_the_sampled_source(source, brauer_law):
+    problem = _source_problem(source, brauer_law)
+    for seed in (14, 15):
+        coeffs = _random_coeffs(problem, scale=0.05, seed=seed)
+        energy, residual = _sampled_energy_and_residual(problem, coeffs)
+        assert assemble_energy(problem, coeffs) == pytest.approx(energy, rel=1e-13, abs=0.0)
+        got = assemble_residual(problem, coeffs)
+        assert np.abs(got - residual).max() <= 1e-13 * np.abs(residual).max()
+    if source == "none":
+        assert not problem.load.any()

@@ -252,6 +252,32 @@ def test_usage_error_exit_code():
     assert main([]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_iter", "-1"),
+        ("cg_rel_tol", "nan"),
+        ("cg_rel_tol", "-1"),
+        ("cg_max_iter", "0"),
+        ("cg_max_iter", "-5"),
+        ("max_backtracks", "-1"),
+        ("tol_increment", "nan"),
+        ("tol_residual", "-1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_out_of_range_newton_setting_is_a_usage_error(tmp_path, capsys, command, key, value):
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG + f"\n[newton]\n{key} = {value}\n")
+    out = str(tmp_path / "out")
+    if command == "solve":
+        args = ["solve", "--config", cfg, "--out", out]
+    else:
+        args = ["study", "--benchmark", "manufactured", "--levels", "2", "--csv", out, "--config", cfg]
+    assert main(args) == EXIT_USAGE
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_study_abort_writes_partial_csv_and_exits_2(tmp_path):
     cfg = _write(tmp_path, "hard.ini", "[newton]\nmax_iter = 1\n")
     out = tmp_path / "study.csv"

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magfem as mf
-from magfem.materials import NU0, build_law, certify_bounds, material_eval, radial_samples
+from magfem.materials import (
+    _RADIAL_EPS, NU0, build_law, certify_bounds, material_eval, radial_samples,
+)
 
 from conftest import rng
 
@@ -176,6 +178,34 @@ def test_hessian_symmetric_with_bounded_spectrum(name):
     eigs = np.linalg.eigvalsh(H)
     assert np.all(eigs[:, 0] >= law.gamma * (1 - 1e-12))
     assert np.all(eigs[:, 1] <= law.lipschitz * (1 + 1e-12))
+
+
+def _outer_product_d2w(law, b):
+    """The Hessian written with two full (n, 2, 2) temporaries."""
+    b, s, (_, d1, d2) = law._radial(b)
+    nu = law._chord(s, d1, d2)
+    small = s < _RADIAL_EPS
+    safe = np.where(small, 1.0, s)
+    unit = b / safe[:, None]
+    unit[small] = 0.0
+    out = np.zeros((len(s), 2, 2))
+    out[:, 0, 0] = nu
+    out[:, 1, 1] = nu
+    out += (d2 - nu)[:, None, None] * unit[:, :, None] * unit[:, None, :]
+    return out
+
+
+@pytest.mark.parametrize("name", ["brauer", "linear"])
+def test_hessian_is_bit_identical_to_the_outer_product_form(name):
+    law = all_laws()[name]
+    generator = rng(10)
+    b = np.concatenate([
+        generator.normal(scale=1.5, size=(4000, 2)),
+        generator.normal(scale=1e-13, size=(50, 2)),  # inside the small-radius branch
+        [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-1.0, -0.0], [-0.0, 2.5]],
+    ])
+    got = law.d2w(np.zeros_like(b), b)
+    assert got.tobytes() == _outer_product_d2w(law, b).tobytes()  # the sign of zero too
 
 
 def test_strong_monotonicity_of_brauer(brauer):

@@ -241,12 +241,12 @@ def test_newton_stops_on_ascent_direction(small_brauer_problem, reversed_newton_
 
 
 def _below_rounding_problem(brauer_law):
-    # a file mesh (no parent, so multigrid over the P2 -> P1 step alone) on which
-    # the full Newton step's Armijo decrease, about 1e-21, is far below ulp(W) ~ 1e-16
-    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(4))))
+    # a file mesh (no parent, so multigrid over the P3 -> P1 step alone) on which
+    # the last full Newton step's decrease, about 1e-19, is far below ulp(W) ~ 1e-16
+    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(5))))
     return mf.Problem(
         mesh=mesh,
-        order=1,
+        order=2,
         materials={1: brauer_law},
         dirichlet_tags=frozenset({1}),
         hs_field=lambda x: np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2]),
