@@ -3,11 +3,12 @@
 All three quantities are evaluated with one quadrature rule (exactness at
 least twice the curl degree), so the assembled residual is the exact
 gradient of the assembled energy and the Hessian its exact Jacobian.
-Element contributions are computed in vectorized batches (explicit
-batched matrix products, never a contraction order chosen at run time) and
-summed into a CSR sparsity pattern built once per `Problem`, filled in a
-fixed order, making assembled operators bit-reproducible on a given
-platform.
+Element contributions are computed in vectorized batches and never in a
+contraction order chosen at run time: the load, the residual and its
+rounding scale contract with the basis curls in one two-operand einsum,
+the Hessian in explicit batched matrix products summed into a CSR
+sparsity pattern built once per `Problem`, filled in a fixed order. Assembled
+quantities are thus bit-reproducible on a given platform.
 """
 
 from __future__ import annotations
@@ -175,21 +176,6 @@ def _local_coeffs(problem, coeffs):
     return coeffs.full()[problem.space.conn]  # (ne, nl)
 
 
-def _integrate_against_curls(curls, g, magnitude=False):
-    """Per-element sums of g . Curl phi_l over the points; (ne, nl).
-
-    `g` is (ne, nq, 2) and already carries the quadrature weights. The
-    sum runs over the points in order, x before y at each: a fixed order,
-    batched over elements and local functions. With `magnitude`, |Curl
-    phi_l| takes the place of Curl phi_l, taken one point at a time.
-    """
-    cell = np.zeros(curls.shape[:2])
-    for q in range(curls.shape[2]):
-        c = np.abs(curls[:, :, q]) if magnitude else curls[:, :, q]
-        cell += g[:, q, None, 0] * c[..., 0] + g[:, q, None, 1] * c[..., 1]
-    return cell
-
-
 def _free_sum(space, cell):
     """Per-element contributions (ne, nl) summed into each free dof."""
     res = np.zeros(space.num_dofs)
@@ -243,7 +229,7 @@ def assemble_residual(problem, coeffs):
     b = curl_at_quadrature(problem, coeffs)
     h = _material_apply(problem, "dw", b)  # (ne, nq, 2)
     h *= problem.wq[..., None]  # owned here, so weighted in place
-    return _free_sum(problem.space, _integrate_against_curls(problem.curls, h)) - problem.load
+    return _free_sum(problem.space, np.einsum("elqi,eqi->el", problem.curls, h)) - problem.load
 
 
 def residual_scale(problem, coeffs):
@@ -257,7 +243,7 @@ def residual_scale(problem, coeffs):
     b = curl_at_quadrature(problem, coeffs)
     h = np.abs(_material_apply(problem, "dw", b))
     h *= problem.wq[..., None]  # the weights are positive
-    cell = _integrate_against_curls(problem.curls, h, magnitude=True)
+    cell = np.einsum("elqi,eqi->el", np.abs(problem.curls), h)
     return float(np.linalg.norm(_free_sum(problem.space, cell) + np.abs(problem.load)))
 
 

@@ -69,14 +69,22 @@ def _finite_float(section, key, default=None):
     return value
 
 
+#: The keys of [newton]; any other key is a usage error, not silently ignored.
+NEWTON_KEYS = frozenset(
+    "rho sigma tol_increment tol_residual max_iter max_backtracks cg_rel_tol cg_max_iter".split()
+)
+
+
 def read_newton_config(parser):
     cfg = solver.NewtonConfig()
     if parser.has_section("newton"):
         s = parser["newton"]
+        unknown = sorted(set(s) - set(parser.defaults()) - NEWTON_KEYS)
+        if unknown:
+            raise ConfigError(f"[newton] unknown key {', '.join(unknown)}")
         cg = solver.CGConfig(
             rel_tol=s.getfloat("cg_rel_tol", 1e-12),
             max_iter=s.getint("cg_max_iter", None) if s.get("cg_max_iter") else None,
-            jacobi=s.getboolean("cg_jacobi", True),
         )
         cfg = solver.NewtonConfig(
             rho=s.getfloat("rho", cfg.rho),

@@ -42,8 +42,8 @@ over the `refine_uniform` hierarchy, the P_p -> P1 step on the base mesh,
 and smoothed-aggregation levels below a large P1 space, so that CG
 iteration counts stay flat under refinement on generated and file meshes
 alike. Jacobi remains where no coarser space exists (P1 on a mesh without
-a parent) or the system is singular (no constrained dof).
-`CGConfig.jacobi = False` turns preconditioning off.
+a parent) or the system is singular (no constrained dof); Newton then
+takes the constants out of each right-hand side (`newton_solve`).
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class CGConfig:
 
     rel_tol: float = 1e-12
     max_iter: int = None
-    jacobi: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
@@ -199,7 +198,7 @@ class CGInfo:
     iterations: int
     converged: bool
     residual_norm: float
-    preconditioner: str  # "multigrid", "jacobi" or "none"
+    preconditioner: str  # "multigrid" or "jacobi"
     levels: tuple        # operator rows per level, finest first; () if none was built
 
     def describe(self):
@@ -210,11 +209,10 @@ class CGInfo:
 def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     """Preconditioned conjugate gradients for an SPD sparse system.
 
-    With `cfg.jacobi` the preconditioner is a multigrid V-cycle, built
-    here from `matrix` over `prolongations` (from `multigrid.hierarchy`)
-    and the algebraic levels `multigrid.VCycle` adds below them, or Jacobi
-    when there are none; without it CG is plain. CGInfo names the
-    preconditioner and the rows of its levels.
+    The preconditioner is a multigrid V-cycle, built here from `matrix`
+    over `prolongations` (from `multigrid.hierarchy`) and the algebraic
+    levels `multigrid.VCycle` adds below them, or Jacobi when there are
+    none. CGInfo names the preconditioner and the rows of its levels.
 
     Iterates until the recursive residual satisfies
     ||r||_2 <= rel_tol ||rhs||_2, then measures the true residual and, if
@@ -228,32 +226,27 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     n = matrix.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     b_norm = float(np.linalg.norm(rhs))
-    kind = "none" if not cfg.jacobi else "multigrid" if prolongations else "jacobi"
+    kind = "multigrid" if prolongations else "jacobi"
     if n == 0 or b_norm == 0.0:
         return np.zeros(n), CGInfo(0, True, 0.0, kind, ())
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(1000, 5 * n)
     tol = cfg.rel_tol * b_norm
 
-    levels = ()
-    if not cfg.jacobi:
-        def precondition(r):
-            return r
+    diag = matrix.diagonal()
+    if np.any(diag <= 0):
+        raise SolverError("matrix diagonal not positive; not SPD")
+    if prolongations:
+        try:
+            precondition = multigrid.VCycle(matrix, prolongations)
+        except np.linalg.LinAlgError:
+            raise SolverError("coarse operator not positive definite; not SPD") from None
+        levels = tuple(precondition.sizes)
     else:
-        diag = matrix.diagonal()
-        if np.any(diag <= 0):
-            raise SolverError("matrix diagonal not positive; not SPD")
-        if prolongations:
-            try:
-                precondition = multigrid.VCycle(matrix, prolongations)
-            except np.linalg.LinAlgError:
-                raise SolverError("coarse operator not positive definite; not SPD") from None
-            levels = tuple(precondition.sizes)
-        else:
-            levels = (n,)
-            inv_diag = 1.0 / diag
+        levels = (n,)
+        inv_diag = 1.0 / diag
 
-            def precondition(r):
-                return r * inv_diag
+        def precondition(r):
+            return r * inv_diag
 
     x = np.zeros(n)
     r = rhs.copy()
@@ -347,14 +340,17 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     Newton direction or trial energy (failure "non_finite") and a
     direction along which the energy does not descend (failure
     "linear_solve", before any backtracking). Passing a list as `history` collects a copy of every
-    iterate's free-dof vector (initial value included).
+    iterate's free-dof vector (initial value included). Without a
+    constrained dof the Hessian is singular along the constants, so each
+    right-hand side has its mean taken out before the inner solve.
     """
     space = problem.space
     a = zero_coefficients(space) if a0 is None else a0
     vec = a.values.copy()
     if history is not None:
         history.append(vec.copy())
-    prolongations = multigrid.hierarchy(space) if cfg.cg.jacobi else ()
+    prolongations = multigrid.hierarchy(space)
+    singular = not space.constrained.any()  # H's kernel holds the constants
 
     records = []
     preconditioner = None
@@ -392,8 +388,11 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         eta = cfg.cg.rel_tol
         if n > 0:
             eta = max(eta, min(FORCING_MAX, (res_norm / res_ref) ** 2))
+        rhs = -res
+        if singular:  # the rounding along the kernel would send CG into it
+            rhs -= rhs.mean()
         delta, cg_info = solve_cg(
-            hess, -res, replace(cfg.cg, rel_tol=eta), prolongations=prolongations
+            hess, rhs, replace(cfg.cg, rel_tol=eta), prolongations=prolongations
         )
         preconditioner = preconditioner or cg_info.describe()
         del hess  # not alive through the next step's assembly peak
@@ -492,7 +491,7 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
     a = zero_coefficients(space) if a0 is None else a0
     vec = a.values.copy()
     K = assembly.assemble_unit_stiffness(problem)
-    prolongations = multigrid.hierarchy(space) if cfg.cg.jacobi else ()
+    prolongations = multigrid.hierarchy(space)
     certified = _certified(problem, cfg)
     tau_max = 2.0 * certified["gamma"] / certified["lipschitz"] ** 2 if certified else np.inf
     if tau >= tau_max:

@@ -97,6 +97,21 @@ def check_jacobian_consistency(domain_map, points, step=1e-6):
     return float(np.max(np.linalg.norm(F - approx, axis=(1, 2)) / scale))
 
 
+def integrate_against_curls(curls, g, magnitude=False):
+    """Oracle for the contraction of the load, the residual and its scale.
+
+    Per-element sums of g . Curl phi_l over the points, one point at a
+    time, x before y at each; (ne, nl). `curls` is (ne, nl, nq, 2) and `g`
+    (ne, nq, 2) already carries the quadrature weights. With `magnitude`,
+    |Curl phi_l| takes the place of Curl phi_l.
+    """
+    cell = np.zeros(curls.shape[:2])
+    for q in range(curls.shape[2]):
+        c = np.abs(curls[:, :, q]) if magnitude else curls[:, :, q]
+        cell += g[:, q, None, 0] * c[..., 0] + g[:, q, None, 1] * c[..., 1]
+    return cell
+
+
 class SpatialAnisotropicLinear(MaterialLaw):
     """w = 1/2 <N(x) b, b> with a point-dependent SPD matrix field."""
 

@@ -17,7 +17,7 @@ from magfem import assembly
 from magfem.femspace import CoefficientVector, build_space, tabulate_curl, tabulate_values
 from magfem.materials import NU0
 
-from conftest import rng
+from conftest import integrate_against_curls, rng
 
 BRAUER_W0 = 3.8 / (2 * 2.17)  # profile value at zero field
 
@@ -489,9 +489,25 @@ def test_residual_scale_matches_the_absolute_assembly(brauer_law):
     coeffs = _random_coeffs(problem, scale=0.1, seed=13)
     b = assembly.curl_at_quadrature(problem, coeffs)
     h = np.abs(assembly._material_apply(problem, "dw", b))
-    cell = assembly._integrate_against_curls(np.abs(problem.curls), problem.wq[..., None] * h)
+    cell = np.einsum("elqi,eqi->el", np.abs(problem.curls), problem.wq[..., None] * h)
     want = float(np.linalg.norm(assembly._free_sum(problem.space, cell) + np.abs(problem.load)))
     assert assembly.residual_scale(problem, coeffs) == want
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["brauer", "pm_toy", "annulus", "unconstrained"])
+def test_residual_and_its_scale_match_the_per_point_oracle(case, order, brauer_law):
+    problem = _kernel_problem(case, order, brauer_law)
+    coeffs = _random_coeffs(problem, scale=0.1, seed=16 + order)
+    b = assembly.curl_at_quadrature(problem, coeffs)
+    h = problem.wq[..., None] * assembly._material_apply(problem, "dw", b)
+    cell = integrate_against_curls(problem.curls, h)
+    want = assembly._free_sum(problem.space, cell) - problem.load
+    got = assemble_residual(problem, coeffs)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    cell = integrate_against_curls(problem.curls, np.abs(h), magnitude=True)
+    scale = np.linalg.norm(assembly._free_sum(problem.space, cell) + np.abs(problem.load))
+    assert assembly.residual_scale(problem, coeffs) == pytest.approx(scale, rel=1e-13, abs=0.0)
 
 
 def test_region_current_densities_follow_the_region_tags():
@@ -540,7 +556,7 @@ def _sampled_energy_and_residual(problem, coeffs):
         integrand = integrand - np.sum(hs * b, axis=2)
         h = h - hs
     energy = float((integrand @ weights) @ areas)
-    cell = assembly._integrate_against_curls(problem.curls, problem.wq[..., None] * h)
+    cell = integrate_against_curls(problem.curls, problem.wq[..., None] * h)
     if js is not None:
         a_vals = coeffs.full()[problem.space.conn] @ values.T
         energy -= float(((js * a_vals) @ weights) @ areas)

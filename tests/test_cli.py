@@ -205,16 +205,41 @@ def test_study_telemetry_names_the_preconditioner(tmp_path):
         assert precond["levels"] == sorted(precond["levels"], reverse=True)
 
 
-@pytest.mark.parametrize(
-    "newton, kind, levels",
-    [("", "multigrid", [49, 9]), ("[newton]\ncg_jacobi = false\n", "none", [])],
-)
-def test_solve_telemetry_names_the_preconditioner(tmp_path, newton, kind, levels):
+def test_solve_telemetry_names_the_preconditioner(tmp_path):
     # unit_square_n = 4 at k = 1: 49 free P2 dofs and 9 P1 dofs on the same mesh
-    cfg = _write(tmp_path, "run.ini", JS_CONFIG + newton)
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG)
     out = tmp_path / "t.json"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert json.loads(out.read_text())["preconditioner"] == {"kind": kind, "levels": levels}
+    assert json.loads(out.read_text())["preconditioner"] == {"kind": "multigrid", "levels": [49, 9]}
+
+
+SINGULAR_CONFIG = """
+[problem]
+k = 0
+dirichlet_tags =
+
+[mesh]
+unit_square_n = 4
+
+[material.1]
+law = brauer
+
+[source]
+form = hs
+hs_x = 1000.0
+hs_y = 300.0
+"""
+
+
+def test_solve_without_dirichlet_boundary_converges(tmp_path):
+    # every dof is free, so the Hessian is singular along the constants
+    cfg = _write(tmp_path, "run.ini", SINGULAR_CONFIG)
+    out = tmp_path / "t.json"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["converged"]
+    assert doc["preconditioner"] == {"kind": "jacobi", "levels": [25]}
+    assert "jacobi" not in doc["config"]["cg"]
 
 
 def test_material_check_brauer(capsys):
@@ -275,6 +300,20 @@ def test_out_of_range_newton_setting_is_a_usage_error(tmp_path, capsys, command,
         args = ["study", "--benchmark", "manufactured", "--levels", "2", "--csv", out, "--config", cfg]
     assert main(args) == EXIT_USAGE
     assert f"{key} must be" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key", ["cg_jacobi", "cg_rel_tl"])
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_unknown_newton_key_is_a_usage_error(tmp_path, capsys, command, key):
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG + f"\n[newton]\n{key} = false\n")
+    out = str(tmp_path / "out")
+    if command == "solve":
+        args = ["solve", "--config", cfg, "--out", out]
+    else:
+        args = ["study", "--benchmark", "manufactured", "--levels", "2", "--csv", out, "--config", cfg]
+    assert main(args) == EXIT_USAGE
+    assert f"unknown key {key}" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

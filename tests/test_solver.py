@@ -43,15 +43,14 @@ def test_cg_zero_rhs():
     assert info.iterations == 0
 
 
-@pytest.mark.parametrize("jacobi", [False, True])
-def test_cg_matches_direct_solve_within_2n_iterations(jacobi):
+def test_cg_matches_direct_solve_within_2n_iterations():
     # random SPD systems: finite termination (with rounding slack 2n)
     generator = rng(11)
     for n in (10, 30, 50):
         M = generator.normal(size=(n, n))
         A = sp.csr_matrix(M @ M.T + n * np.eye(n))
         b = generator.normal(size=n)
-        cfg = solver.CGConfig(rel_tol=1e-12, max_iter=2 * n, jacobi=jacobi)
+        cfg = solver.CGConfig(rel_tol=1e-12, max_iter=2 * n)
         x, info = mf.solve_cg(A, b, cfg)
         assert info.converged
         assert info.iterations <= 2 * n
@@ -81,9 +80,10 @@ def test_cg_deterministic():
 
 
 def test_cg_rejects_indefinite():
-    A = sp.diags([1.0, -1.0]).tocsr()
-    with pytest.raises(solver.SolverError):
-        mf.solve_cg(A, np.ones(2), solver.CGConfig(jacobi=False))
+    # a positive diagonal passes the Jacobi check; the second direction has p.Ap < 0
+    A = sp.csr_matrix([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(solver.SolverError, match="not positive definite in CG"):
+        mf.solve_cg(A, np.array([1.0, 0.0]))
 
 
 # -- Newton --------------------------------------------------------------------
@@ -140,6 +140,36 @@ def test_newton_zero_problem_converges_immediately():
     assert report.converged
     assert report.n_iterations == 0
     assert np.all(coeffs.values == 0.0)
+
+
+def _unconstrained_problem(brauer_law, **source):
+    # no Dirichlet boundary: the potential is fixed only up to a constant
+    return mf.Problem(
+        mesh=mf.refine_uniform(mf.generate_unit_square(4)),
+        order=1,
+        materials={1: brauer_law},
+        dirichlet_tags=frozenset(),
+        **source,
+    )
+
+
+def test_newton_converges_without_constrained_dofs(brauer_law):
+    # consistent (Curl 1 = 0, so the load is orthogonal to the constants) but
+    # singular: CG used to drift along the constants and meet p.Ap <= 0
+    problem = _unconstrained_problem(
+        brauer_law, hs_field=lambda x: np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2])
+    )
+    _, report = mf.newton_solve(problem)
+    assert report.converged
+    assert report.preconditioner == {"kind": "jacobi", "levels": [problem.space.n_free]}
+    assert all(rec.cg_converged for rec in report.iterations)
+
+
+def test_inconsistent_singular_problem_is_reported_not_raised(brauer_law):
+    # a current density has a load along the constants, which no potential balances
+    _, report = mf.newton_solve(_unconstrained_problem(brauer_law, js_density={1: 4e3}))
+    assert not report.converged
+    assert report.failure == "linear_solve"
 
 
 def test_newton_from_nonzero_start_reaches_same_solution(small_brauer_problem):

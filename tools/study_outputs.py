@@ -12,6 +12,9 @@ Runs ``magfem`` in-process from the source tree ``--src`` and writes into
 * ``coarse.mesh`` from ``mesh gen``, ``fine.mesh`` from ``mesh refine``,
   and ``solve.json`` and ``fields.csv`` from ``solve --fields`` on the
   fine mesh, with the run config in ``run.ini``;
+* ``singular.json`` from ``solve`` with the config ``singular.ini``: no
+  Dirichlet boundary, so the potential is fixed only up to a constant
+  and the Newton Hessian is singular;
 * ``log.txt``: every command with its exit code and standard output.
 
 Commands run inside ``--out`` with relative paths, so two trees' outputs
@@ -51,6 +54,25 @@ form = js
 region.1 = 4000.0
 """
 
+#: Nonlinear iron under a constant source field on a generated mesh, with
+#: no Dirichlet boundary: a consistent, singular problem.
+SINGULAR_CONFIG = """\
+[problem]
+k = 0
+dirichlet_tags =
+
+[mesh]
+unit_square_n = 4
+
+[material.1]
+law = brauer
+
+[source]
+form = hs
+hs_x = 1000.0
+hs_y = 300.0
+"""
+
 
 def commands():
     """Every magfem argv, in the order they run."""
@@ -64,6 +86,7 @@ def commands():
     yield ["mesh", "refine", "--in", "coarse.mesh", "--out", "fine.mesh"]
     yield ["solve", "--config", "run.ini", "--mesh", "fine.mesh",
            "--out", "solve.json", "--fields", "fields.csv"]
+    yield ["solve", "--config", "singular.ini", "--out", "singular.json"]
 
 
 def main(argv=None):
@@ -80,6 +103,7 @@ def main(argv=None):
     args.out.mkdir(parents=True, exist_ok=True)
     os.chdir(args.out)
     Path("run.ini").write_text(SOLVE_CONFIG)
+    Path("singular.ini").write_text(SINGULAR_CONFIG)
     log = []
     for argv_ in commands():
         stdout = io.StringIO()
