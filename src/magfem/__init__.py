@@ -27,23 +27,18 @@ from .femspace import (
     CoefficientVector,
     FESpace,
     build_space,
-    eval_basis,
-    eval_curl_field,
     interpolate,
     zero_coefficients,
 )
 from .materials import (
     NU0,
-    AnisotropicLinear,
     BrauerLaw,
     BrauerParams,
-    LinearIsotropic,
+    LinearLaw,
     MaterialLaw,
-    PermanentMagnet,
     brauer_build,
     brauer_reference,
     certify_bounds,
-    material_eval,
     radial_samples,
 )
 from .geometry import (

@@ -265,27 +265,6 @@ def tabulate_values(space, rule):
     return _shape_values(space.degree, rule.points)
 
 
-def eval_basis(space, element, point):
-    """Values and physical Curl vectors of all local shape functions.
-
-    `point` is a reference-triangle coordinate pair; returns
-    (values (n_local,), curls (n_local, 2)).
-    """
-    if not 0 <= element < space.mesh.num_triangles:
-        raise IndexError(f"element {element} out of range")
-    pt = np.asarray(point, dtype=float).reshape(1, 2)
-    values = _shape_values(space.degree, pt)[0]
-    curls = _physical_curls(space.element_inverse[element], _shape_gradients(space.degree, pt))
-    return values, curls[0]
-
-
-def eval_curl_field(space, coeffs, element, point):
-    """Curl of the discrete field at one reference point of one element."""
-    _, curls = eval_basis(space, element, point)
-    full = coeffs.full()
-    return curls.T @ full[space.conn[element]]
-
-
 def eval_curl_batch(space, coeffs, elements, points):
     """Curl of the discrete field at per-element reference points.
 

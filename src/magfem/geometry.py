@@ -115,18 +115,18 @@ def quarter_annulus_map(r_inner, r_outer):
 
 BUILTIN_MAPS = ("identity", "affine", "quarter_annulus")
 
+#: the 9 x 9 reference grid on which PulledBackLaw samples F for its bounds
+_GRID = np.linspace(0.0, 1.0, 9)
+BOUND_SAMPLES = np.column_stack([g.ravel() for g in np.meshgrid(_GRID, _GRID)])
+
 
 class PulledBackLaw(MaterialLaw):
     """Reference-domain law equivalent to `law_phys` on the mapped domain."""
 
-    def __init__(self, domain_map, law_phys, bound_samples=None):
+    def __init__(self, domain_map, law_phys):
         self.map = domain_map
         self.phys = law_phys
-        if bound_samples is None:
-            g = np.linspace(0.0, 1.0, 9)
-            gx, gy = np.meshgrid(g, g)
-            bound_samples = np.column_stack([gx.ravel(), gy.ravel()])
-        F, J = domain_map.jacobians(bound_samples)
+        F, J = domain_map.jacobians(BOUND_SAMPLES)
         sv = np.linalg.svd(F, compute_uv=False)
         scale_lo = float(np.min(sv[:, -1] ** 2 / J))
         scale_hi = float(np.max(sv[:, 0] ** 2 / J))
@@ -155,15 +155,15 @@ class PulledBackLaw(MaterialLaw):
         return np.einsum("nki,nkl,nlj->nij", F, Hp, F) / J[:, None, None]
 
 
-def pullback_material(domain_map, law_phys, bound_samples=None):
+def pullback_material(domain_map, law_phys):
     """Reference-domain law w(x, b) = J w'(phi(x), F b / J).
 
     Its gradient is F^T dw' and its Hessian F^T d2w' F / J by the chain
     rule. Declared convexity bounds are rescaled by the extremal singular
-    values of F over a sample of reference points (reported, not assumed
-    tight).
+    values of F over the reference points BOUND_SAMPLES (reported, not
+    assumed tight).
     """
-    return PulledBackLaw(domain_map, law_phys, bound_samples)
+    return PulledBackLaw(domain_map, law_phys)
 
 
 def pullback_source(domain_map, hs_phys):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import assembly, geometry, multigrid, solver
 from .femspace import CoefficientVector
-from .materials import NU0, AnisotropicLinear, LinearIsotropic, PermanentMagnet, brauer_reference
+from .materials import NU0, LinearLaw, brauer_reference
 from .mesh import Mesh, generate_unit_square, refine_uniform, with_region_tags
 from .quadrature import rule_for_degree
 
@@ -404,7 +404,7 @@ def two_wire_disc_benchmark(rings=12, order=1, levels=2):
         return tags
 
     base = _tag_by_centroid(base, classify)
-    copper = LinearIsotropic(NU0)
+    copper = LinearLaw(NU0)
     return Benchmark(
         name="two_wire_disc",
         base_mesh=base,
@@ -448,7 +448,7 @@ def pm_toy_benchmark(base_n=20, remanence=1.3, order=1, levels=2):
     m0 = NU0 * remanence
     materials = {1: brauer_reference()}
     for tag, (_, _, sign) in patches.items():
-        materials[tag] = PermanentMagnet(NU0, (0.0, sign * m0))
+        materials[tag] = LinearLaw(NU0, (0.0, sign * m0))
     return Benchmark(
         name="pm_toy",
         base_mesh=base,
@@ -479,7 +479,7 @@ def annulus_mapped_benchmark(base_n=6, order=1, levels=3):
     straight and quadrature exact.
     """
     amap = geometry.quarter_annulus_map(ANNULUS_R_INNER, ANNULUS_R_OUTER)
-    law = geometry.pullback_material(amap, AnisotropicLinear(ANNULUS_MATRIX))
+    law = geometry.pullback_material(amap, LinearLaw(ANNULUS_MATRIX))
     hs = geometry.pullback_source(amap, _annulus_hs_physical)
     return Benchmark(
         name="annulus_mapped",

@@ -7,10 +7,12 @@ m/H). Laws declare convexity bounds gamma <= eig(d2w) <= lipschitz that
 the solver's convergence diagnostics rely on, plus an optional Lipschitz
 constant of the second derivative (hess_lipschitz).
 
-Isotropic laws are defined by a radial profile wt(s) of s = |b|; their
-derivatives decompose into a radial eigenvalue wt''(s) and a tangential
-eigenvalue wt'(s)/s (the chord reluctivity), with the analytic s -> 0
-limit substituted below |b| = 1e-12 to avoid the 0/0.
+Every linear material (isotropic, anisotropic or permanently magnetized)
+is one `LinearLaw`. The nonlinear `BrauerLaw` is isotropic, defined by a
+radial profile wt(s) of s = |b|; its derivatives decompose into a radial
+eigenvalue wt''(s) and a tangential eigenvalue wt'(s)/s (the chord
+reluctivity), with the analytic s -> 0 limit substituted below
+|b| = 1e-12 to avoid the 0/0.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ import numpy as np
 NU0 = 1e7 / (4.0 * np.pi)
 
 _RADIAL_EPS = 1e-12
+
+#: certify_bounds compares all sample pairs up to this many samples
+PAIRWISE_LIMIT = 512
 
 
 def _as_points(b):
@@ -58,120 +63,40 @@ class MaterialLaw:
         raise NotImplementedError
 
 
-class IsotropicLaw(MaterialLaw):
-    """w(b) = wt(|b|) from a radial profile; subclasses provide wt etc."""
+class LinearLaw(MaterialLaw):
+    """w = 1/2 <N b, b> - m.b, so h = N b - m and d2w = N: every linear material.
 
-    def _profile(self, s):
-        """Return wt(s), wt'(s), wt''(s) for a batch of radii s >= 0."""
-        raise NotImplementedError
+    `reluctivity` is a positive nu (N = nu I) or a symmetric positive definite
+    2x2 matrix N (m/H); `magnetization` is a permanent magnet's fixed m (A/m).
+    """
 
-    def _chord(self, s, d1, d2):
-        """wt'(s)/s with its s -> 0 limit wt''(0)."""
-        small = s < _RADIAL_EPS
-        safe = np.where(small, 1.0, s)
-        return np.where(small, d2, d1 / safe)
-
-    def _radial(self, b):
-        """The checked batch b, the radii s = |b|, and wt, wt', wt'' at s."""
-        b = _as_points(b)
-        s = np.linalg.norm(b, axis=1)
-        return b, s, self._profile(s)
-
-    def w(self, x, b):
-        _, _, (w0, _, _) = self._radial(b)
-        return w0
-
-    def dw(self, x, b):
-        b, s, (_, d1, d2) = self._radial(b)
-        return self._chord(s, d1, d2)[:, None] * b
-
-    def d2w(self, x, b):
-        # nu(s) I + (wt''(s) - nu(s)) (b/s) (b/s)^T, nu = chord reluctivity
-        b, s, (_, d1, d2) = self._radial(b)
-        nu = self._chord(s, d1, d2)
-        small = s < _RADIAL_EPS
-        safe = np.where(small, 1.0, s)
-        unit = b / safe[:, None]
-        unit[small] = 0.0
-        out = np.zeros((len(s), 2, 2))
-        out[:, 0, 0] = nu
-        out[:, 1, 1] = nu
-        c = d2 - nu
-        for i, j in np.ndindex(2, 2):  # one entry at a time: no (n, 2, 2) temporaries
-            out[:, i, j] += (c * unit[:, i]) * unit[:, j]
-        return out
-
-
-class LinearIsotropic(IsotropicLaw):
-    """w = nu/2 |b|^2; constant reluctivity nu."""
-
-    def __init__(self, nu):
-        if nu <= 0:
-            raise ValueError("reluctivity must be positive")
-        self.nu = float(nu)
-        self.gamma = self.nu
-        self.lipschitz = self.nu
-        self.hess_lipschitz = 0.0
-
-    def _profile(self, s):
-        return 0.5 * self.nu * s**2, self.nu * s, np.full_like(s, self.nu)
-
-
-class PermanentMagnet(MaterialLaw):
-    """w = nu0/2 |b|^2 - m.b, so h = nu0 b - m with fixed magnetization m."""
-
-    def __init__(self, nu0, m):
-        if nu0 <= 0:
-            raise ValueError("reluctivity must be positive")
-        self.nu0 = float(nu0)
-        self.m = np.asarray(m, dtype=float).reshape(2)
-        self.m.flags.writeable = False
-        self.gamma = self.nu0
-        self.lipschitz = self.nu0
-        self.hess_lipschitz = 0.0
-
-    def w(self, x, b):
-        b = _as_points(b)
-        return 0.5 * self.nu0 * np.sum(b * b, axis=1) - b @ self.m
-
-    def dw(self, x, b):
-        b = _as_points(b)
-        return self.nu0 * b - self.m
-
-    def d2w(self, x, b):
-        b = _as_points(b)
-        out = np.zeros((len(b), 2, 2))
-        out[:, 0, 0] = self.nu0
-        out[:, 1, 1] = self.nu0
-        return out
-
-
-class AnisotropicLinear(MaterialLaw):
-    """w = 1/2 <N b, b> with N symmetric positive definite."""
-
-    def __init__(self, matrix):
-        N = np.asarray(matrix, dtype=float).reshape(2, 2)
-        if not np.allclose(N, N.T, rtol=1e-12, atol=0.0):
-            raise ValueError("matrix must be symmetric")
+    def __init__(self, reluctivity, magnetization=(0.0, 0.0)):
+        N = np.array(reluctivity, dtype=float)
+        N = np.diag([N, N]) if N.ndim == 0 else N.reshape(2, 2)
+        m = np.array(magnetization, dtype=float).reshape(2)
+        if not (np.all(np.isfinite(N)) and np.all(np.isfinite(m))):
+            raise ValueError("reluctivity and magnetization must be finite")
         eigs = np.linalg.eigvalsh(N)
-        if eigs[0] <= 0:
-            raise ValueError("matrix must be positive definite")
+        if eigs[0] <= 0 or not np.allclose(N, N.T, rtol=1e-12, atol=0.0):
+            raise ValueError("reluctivity must be symmetric positive definite")
         N.flags.writeable = False
-        self.matrix = N
+        m.flags.writeable = False
+        self.reluctivity = N
+        self.magnetization = m
         self.gamma = float(eigs[0])
         self.lipschitz = float(eigs[-1])
         self.hess_lipschitz = 0.0
 
     def w(self, x, b):
         b = _as_points(b)
-        return 0.5 * np.sum((b @ self.matrix) * b, axis=1)
+        return 0.5 * np.sum((b @ self.reluctivity) * b, axis=1) - b @ self.magnetization
 
     def dw(self, x, b):
-        return _as_points(b) @ self.matrix
+        return _as_points(b) @ self.reluctivity - self.magnetization
 
     def d2w(self, x, b):
         b = _as_points(b)
-        return np.broadcast_to(self.matrix, (len(b), 2, 2)).copy()
+        return np.broadcast_to(self.reluctivity, (len(b), 2, 2)).copy()
 
 
 @dataclass(frozen=True)
@@ -255,8 +180,8 @@ def brauer_c2_residuals(params):
     return tuple(abs(lo - hi) / abs(hi) for lo, hi in zip(core, tail))
 
 
-class BrauerLaw(IsotropicLaw):
-    """Modified Brauer ferromagnet: exponential core, quadratic extension.
+class BrauerLaw(MaterialLaw):
+    """Isotropic Brauer ferromagnet w = wt(|b|): exponential core, quadratic extension.
 
     The differential reluctivity rises from k1 + k3 at b = 0 to nu0 at the
     threshold and stays there, so gamma = k1 + k3 and lipschitz = nu0 are
@@ -271,7 +196,41 @@ class BrauerLaw(IsotropicLaw):
         self.lipschitz = params.nu0
         self.hess_lipschitz = self._scan_hess_lipschitz()
 
+    def w(self, x, b):
+        _, _, (w0, _, _) = self._radial(b)
+        return w0
+
+    def dw(self, x, b):
+        b, s, (_, d1, d2) = self._radial(b)
+        return self._chord(s, d1, d2)[:, None] * b
+
+    def d2w(self, x, b):
+        # nu(s) I + (wt''(s) - nu(s)) (b/s) (b/s)^T, nu = chord reluctivity
+        b, s, (_, d1, d2) = self._radial(b)
+        nu = self._chord(s, d1, d2)
+        unit = b / np.where(s < _RADIAL_EPS, np.inf, s)[:, None]  # b/s; 0 in the s -> 0 limit
+        out = np.zeros((len(s), 2, 2))
+        out[:, 0, 0] = nu
+        out[:, 1, 1] = nu
+        c = d2 - nu
+        for i, j in np.ndindex(2, 2):  # one entry at a time: no (n, 2, 2) temporaries
+            out[:, i, j] += (c * unit[:, i]) * unit[:, j]
+        return out
+
+    def _radial(self, b):
+        """The checked batch b, the radii s = |b|, and wt, wt', wt'' at s."""
+        b = _as_points(b)
+        s = np.linalg.norm(b, axis=1)
+        return b, s, self._profile(s)
+
+    def _chord(self, s, d1, d2):
+        """wt'(s)/s with its s -> 0 limit wt''(0)."""
+        small = s < _RADIAL_EPS
+        safe = np.where(small, 1.0, s)
+        return np.where(small, d2, d1 / safe)
+
     def _profile(self, s):
+        """Return wt(s), wt'(s), wt''(s) for a batch of radii s >= 0."""
         p = self.params
         s = np.asarray(s, dtype=float)
         low = s <= p.s_star
@@ -311,29 +270,18 @@ def build_law(kind, params):
         k1, k2, k3 = get("k1", 3.8), get("k2", 2.17), get("k3", 396.2)
         return BrauerLaw(brauer_build(k1, k2, k3, get("nu0", NU0)))
     if kind == "linear":
-        return LinearIsotropic(get("nu", NU0))
+        return LinearLaw(get("nu", NU0))
     if kind == "permanent_magnet":
-        return PermanentMagnet(get("nu0", NU0), (get("mx", 0.0), get("my", 0.0)))
+        return LinearLaw(get("nu0", NU0), (get("mx", 0.0), get("my", 0.0)))
     if kind == "anisotropic":
         n12 = get("n12", 0.0)
-        return AnisotropicLinear([[get("n11"), n12], [n12, get("n22")]])
+        return LinearLaw([[get("n11"), n12], [n12, get("n22")]])
     raise ValueError(f"unknown material law {kind!r}")
 
 
 def brauer_reference():
     """Brauer law with the standard soft-iron coefficients."""
     return build_law("brauer", {})
-
-
-def material_eval(law, x, b):
-    """Evaluate one law at a single point: (w, h, nu_d)."""
-    x = np.asarray(x, dtype=float).reshape(1, 2)
-    b = _as_points(b)
-    return (
-        float(law.w(x, b)[0]),
-        law.dw(x, b)[0],
-        law.d2w(x, b)[0],
-    )
 
 
 def _spectral_norms(mats):
@@ -346,26 +294,24 @@ def _spectral_norms(mats):
     return np.maximum(np.abs(half + rad), np.abs(half - rad))
 
 
-def certify_bounds(law, b_samples, x=None, pairwise_limit=512):
+def certify_bounds(law, b_samples):
     """Scan convexity bounds over samples: (gamma_hat, L_hat, L2_hat).
 
     gamma_hat and L_hat are the extreme eigenvalues of d2w over the
     sample cloud; L2_hat estimates the Lipschitz constant of d2w from
-    difference quotients (all sample pairs when the cloud is small,
-    consecutive pairs otherwise). Estimates are lower bounds of the true
-    suprema and are reported, not asserted.
+    difference quotients (all sample pairs up to PAIRWISE_LIMIT samples,
+    consecutive pairs beyond). The law is evaluated at x = 0. Estimates
+    are lower bounds of the true suprema and are reported, not asserted.
     """
     b = _as_points(b_samples)
     if len(b) == 0:
         raise ValueError("empty sample set")
-    if x is None:
-        x = np.zeros_like(b)
-    H = law.d2w(x, b)
+    H = law.d2w(np.zeros_like(b), b)
     eigs = np.linalg.eigvalsh(H)
     gamma_hat = float(eigs[:, 0].min())
     l_hat = float(eigs[:, -1].max())
 
-    if len(b) <= pairwise_limit:
+    if len(b) <= PAIRWISE_LIMIT:
         ii, jj = np.triu_indices(len(b), k=1)
     else:
         ii = np.arange(len(b) - 1)

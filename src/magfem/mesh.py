@@ -117,26 +117,6 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def total_area(self):
-        return float(np.sum(self.signed_areas()))
-
-    def max_edge_length(self):
-        p = self.vertices[self.triangles]
-        lengths = [np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1) for i in range(3)]
-        return float(np.max(lengths))
-
-    def shape_regularity(self):
-        """Per-triangle circumradius/inradius ratio (recorded, not enforced)."""
-        p = self.vertices[self.triangles]
-        a = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-        b = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
-        c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-        area = np.abs(self.signed_areas())
-        s = 0.5 * (a + b + c)
-        inradius = area / s
-        circumradius = a * b * c / (4.0 * area)
-        return circumradius / inradius
-
     def region_tags_present(self):
         return set(int(t) for t in np.unique(self.region_tag))
 

@@ -18,8 +18,9 @@ from scipy.special import roots_jacobi, roots_legendre
 
 import magfem as mf
 from magfem import assembly
+from magfem.femspace import _physical_curls, _shape_gradients, _shape_values
 from magfem.harness import ANNULUS_MATRIX, ANNULUS_R_INNER, ANNULUS_R_OUTER, Benchmark
-from magfem.materials import MaterialLaw
+from magfem.materials import MaterialLaw, _as_points
 
 
 def conical_rule(n):
@@ -112,7 +113,62 @@ def integrate_against_curls(curls, g, magnitude=False):
     return cell
 
 
-class SpatialAnisotropicLinear(MaterialLaw):
+def eval_basis(space, element, point):
+    """Values and physical Curl vectors of all local shape functions.
+
+    `point` is a reference-triangle coordinate pair; returns
+    (values (n_local,), curls (n_local, 2)).
+    """
+    if not 0 <= element < space.mesh.num_triangles:
+        raise IndexError(f"element {element} out of range")
+    pt = np.asarray(point, dtype=float).reshape(1, 2)
+    values = _shape_values(space.degree, pt)[0]
+    curls = _physical_curls(space.element_inverse[element], _shape_gradients(space.degree, pt))
+    return values, curls[0]
+
+
+def eval_curl_field(space, coeffs, element, point):
+    """Curl of the discrete field at one reference point of one element."""
+    _, curls = eval_basis(space, element, point)
+    full = coeffs.full()
+    return curls.T @ full[space.conn[element]]
+
+
+def material_eval(law, x, b):
+    """Evaluate one law at a single point: (w, h, nu_d)."""
+    x = np.asarray(x, dtype=float).reshape(1, 2)
+    b = _as_points(b)
+    return (
+        float(law.w(x, b)[0]),
+        law.dw(x, b)[0],
+        law.d2w(x, b)[0],
+    )
+
+
+def total_area(mesh):
+    return float(np.sum(mesh.signed_areas()))
+
+
+def max_edge_length(mesh):
+    p = mesh.vertices[mesh.triangles]
+    lengths = [np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1) for i in range(3)]
+    return float(np.max(lengths))
+
+
+def shape_regularity(mesh):
+    """Per-triangle circumradius/inradius ratio (recorded, not enforced)."""
+    p = mesh.vertices[mesh.triangles]
+    a = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
+    b = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
+    c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
+    area = np.abs(mesh.signed_areas())
+    s = 0.5 * (a + b + c)
+    inradius = area / s
+    circumradius = a * b * c / (4.0 * area)
+    return circumradius / inradius
+
+
+class SpatialLinearLaw(MaterialLaw):
     """w = 1/2 <N(x) b, b> with a point-dependent SPD matrix field."""
 
     def __init__(self, matrix_fn, gamma=None, lipschitz=None):
@@ -165,7 +221,7 @@ def annulus_direct_benchmark(base_n=6, order=1, levels=3):
         phys = np.column_stack([-r * np.sin(th), r * np.cos(th)])
         return np.einsum("nji,nj->ni", F, phys)
 
-    law = SpatialAnisotropicLinear(matrix_fn)
+    law = SpatialLinearLaw(matrix_fn)
     return Benchmark(
         name="annulus_direct",
         base_mesh=mf.generate_unit_square(base_n),

@@ -204,7 +204,7 @@ def test_criterion_06_zarantonello_contraction():
     )
 
     nu = 2.0
-    lin = problem_at_level(manufactured_benchmark(law=mf.LinearIsotropic(nu)), 1, order=1)
+    lin = problem_at_level(manufactured_benchmark(law=mf.LinearLaw(nu)), 1, order=1)
     zc, zrep = mf.zarantonello_solve(lin, tau=1.0 / nu)
     nref, _ = mf.newton_solve(lin)
     one_step = (
@@ -263,10 +263,10 @@ def test_criterion_08_derivative_chain():
 
     laws = {
         "brauer": mf.brauer_reference(),
-        "copper": mf.LinearIsotropic(NU0),
-        "magnet": mf.PermanentMagnet(NU0, (0.0, 1.3 * NU0)),
+        "copper": mf.LinearLaw(NU0),
+        "magnet": mf.LinearLaw(NU0, (0.0, 1.3 * NU0)),
         "mapped_anisotropic": pullback_material(
-            quarter_annulus_map(0.5, 1.0), mf.AnisotropicLinear(harness.ANNULUS_MATRIX)
+            quarter_annulus_map(0.5, 1.0), mf.LinearLaw(harness.ANNULUS_MATRIX)
         ),
     }
     ok = True

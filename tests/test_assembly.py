@@ -40,7 +40,7 @@ def _random_coeffs(problem, scale=0.25, seed=0):
 
 
 def test_zero_energy_for_linear_law_at_zero():
-    problem = _problem(mf.LinearIsotropic(2.0))
+    problem = _problem(mf.LinearLaw(2.0))
     assert assemble_energy(problem, mf.zero_coefficients(problem.space)) == 0.0
 
 
@@ -52,7 +52,7 @@ def test_brauer_energy_offset_at_zero(brauer_law):
 
 
 def test_permanent_magnet_zero_field_energy():
-    problem = _problem(mf.PermanentMagnet(NU0, (0.0, 1e6)))
+    problem = _problem(mf.LinearLaw(NU0, (0.0, 1e6)))
     assert assemble_energy(problem, mf.zero_coefficients(problem.space)) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -63,14 +63,14 @@ def test_missing_material_rejected():
         Problem(
             mesh=mf.generate_unit_square(1),
             order=1,
-            materials={2: mf.LinearIsotropic(1.0)},
+            materials={2: mf.LinearLaw(1.0)},
             dirichlet_tags=frozenset({1}),
         )
 
 
 def test_both_sources_rejected():
     with pytest.raises(ProblemConfigError):
-        _problem(mf.LinearIsotropic(1.0), hs=lambda x: np.zeros((len(x), 2)), js=lambda x: np.zeros(len(x)))
+        _problem(mf.LinearLaw(1.0), hs=lambda x: np.zeros((len(x), 2)), js=lambda x: np.zeros(len(x)))
 
 
 def test_insufficient_quadrature_degree_rejected():
@@ -78,7 +78,7 @@ def test_insufficient_quadrature_degree_rejected():
         Problem(
             mesh=mf.generate_unit_square(2),
             order=2,
-            materials={1: mf.LinearIsotropic(1.0)},
+            materials={1: mf.LinearLaw(1.0)},
             dirichlet_tags=frozenset({1}),
             quad_degree=2,
         )
@@ -102,7 +102,7 @@ def test_residual_is_energy_gradient(brauer_law):
 
 def test_residual_at_zero_is_minus_load():
     hs = lambda x: np.column_stack([np.sin(x[:, 1]), x[:, 0]])
-    problem = _problem(mf.LinearIsotropic(3.0), n=3, hs=hs)
+    problem = _problem(mf.LinearLaw(3.0), n=3, hs=hs)
     res = assemble_residual(problem, mf.zero_coefficients(problem.space))
     # dw(0) = 0, so the residual is exactly the negated load vector
     wq = problem.rule.weights[None, :] * problem.space.element_areas[:, None]
@@ -139,7 +139,7 @@ def test_hessian_symmetric(brauer_law):
 
 def test_linear_hessian_is_nu_times_stiffness():
     nu = 2.7
-    problem = _problem(mf.LinearIsotropic(nu), n=3, order=2)
+    problem = _problem(mf.LinearLaw(nu), n=3, order=2)
     coeffs = _random_coeffs(problem, seed=4)
     H = assemble_hessian(problem, coeffs)
     K = assemble_unit_stiffness(problem)
@@ -162,7 +162,7 @@ def test_quadrature_terms_exact_for_polynomial_data():
     # cross-check the load vector against per-element closed forms
     nu = 1.0
     hs = lambda x: np.column_stack([x[:, 1], 2.0 * x[:, 0]])
-    problem = _problem(mf.LinearIsotropic(nu), n=1, order=1, hs=hs)
+    problem = _problem(mf.LinearLaw(nu), n=1, order=1, hs=hs)
     res = assemble_residual(problem, mf.zero_coefficients(problem.space))
 
     # p=2 space on the 2-triangle unit square; integrate hs . Curl phi_i
@@ -191,8 +191,8 @@ def test_quadrature_terms_exact_for_polynomial_data():
 
 def test_js_dict_source_matches_callable():
     region_value = 1700.0
-    problem_dict = _problem(mf.LinearIsotropic(1.0), n=2, js={1: region_value})
-    problem_call = _problem(mf.LinearIsotropic(1.0), n=2, js=lambda x: np.full(len(x), region_value))
+    problem_dict = _problem(mf.LinearLaw(1.0), n=2, js={1: region_value})
+    problem_call = _problem(mf.LinearLaw(1.0), n=2, js=lambda x: np.full(len(x), region_value))
     c = _random_coeffs(problem_dict, seed=6)
     c2 = CoefficientVector(problem_call.space, c.values)
     assert assemble_energy(problem_dict, c) == pytest.approx(
@@ -515,7 +515,7 @@ def test_region_current_densities_follow_the_region_tags():
     tags = np.where(np.arange(mesh.num_triangles) % 3 == 0, 2, 1)
     tags[5] = 7  # a region without a current
     mesh = mf.with_region_tags(mesh, tags)
-    law = mf.LinearIsotropic(1.0)
+    law = mf.LinearLaw(1.0)
     density = {1: 3.0, 2: -0.25}
     problem = Problem(
         mesh=mesh, order=1, materials={1: law, 2: law, 7: law},
@@ -579,7 +579,7 @@ def _source_problem(source, brauer_law):
         "js_callable": {"js_density": lambda x: 1e3 * np.cos(2.0 * x[:, 0]) * x[:, 1]},
         "none": {},
     }[source]
-    materials = {1: brauer_law, 2: mf.LinearIsotropic(2.0), 7: brauer_law}
+    materials = {1: brauer_law, 2: mf.LinearLaw(2.0), 7: brauer_law}
     return Problem(mesh=mesh, order=2, materials=materials, dirichlet_tags=frozenset({1}), **kw)
 
 

@@ -7,7 +7,7 @@ from magfem.femspace import eval_curl_batch, tabulate_curl
 from magfem.harness import disc_mesh
 from magfem.quadrature import rule_for_degree
 
-from conftest import l2_norm_oracle, rng
+from conftest import eval_basis, eval_curl_field, l2_norm_oracle, rng
 
 
 def test_all_dirichlet_n1_p1_has_no_free_dofs():
@@ -64,7 +64,7 @@ def test_lagrange_duality_at_dof_nodes(p):
 
     nodes = _reference_nodes(p)
     for j, node in enumerate(nodes):
-        values, _ = mf.eval_basis(space, 0, node)
+        values, _ = eval_basis(space, 0, node)
         expected = np.zeros(len(nodes))
         expected[j] = 1.0
         assert np.allclose(values, expected, atol=5e-11)
@@ -75,7 +75,7 @@ def test_partition_of_unity_and_curl_sum(p):
     space = mf.build_space(mf.generate_unit_square(3), p)
     points = rng(1).dirichlet([1, 1, 1], size=10)[:, :2]  # random reference points
     for pt in points:
-        values, curls = mf.eval_basis(space, 5, pt)
+        values, curls = eval_basis(space, 5, pt)
         assert np.sum(values) == pytest.approx(1.0, abs=1e-12)
         # curl of the constant 1; rounding scales with the curl magnitudes
         scale = max(1.0, np.abs(curls).max())
@@ -85,7 +85,7 @@ def test_partition_of_unity_and_curl_sum(p):
 def test_eval_basis_rejects_bad_element():
     space = mf.build_space(mf.generate_unit_square(1), 1)
     with pytest.raises(IndexError):
-        mf.eval_basis(space, 99, (0.2, 0.2))
+        eval_basis(space, 99, (0.2, 0.2))
 
 
 def test_connectivity_is_conforming_across_elements():
@@ -108,7 +108,7 @@ def test_connectivity_is_conforming_across_elements():
             pv = mesh.vertices[mesh.triangles[t]]
             B = np.stack([pv[1] - pv[0], pv[2] - pv[0]], axis=1)
             ref = np.linalg.solve(B, phys - pv[0])
-            basis_vals, _ = mf.eval_basis(space, t, ref)
+            basis_vals, _ = eval_basis(space, t, ref)
             vals.append(basis_vals @ coeffs.full()[space.conn[t]])
         assert vals[0] == pytest.approx(vals[1], abs=1e-12)
 
@@ -124,7 +124,7 @@ def test_interpolation_reproduces_polynomials(p):
         pv = space.mesh.vertices[space.mesh.triangles[tri]]
         B = np.stack([pv[1] - pv[0], pv[2] - pv[0]], axis=1)
         ref = np.linalg.solve(B, x - pv[0])
-        vals, _ = mf.eval_basis(space, tri, ref)
+        vals, _ = eval_basis(space, tri, ref)
         got = vals @ coeffs.full()[space.conn[tri]]
         assert got == pytest.approx(f(x[None, :])[0], abs=1e-12)
 
@@ -149,7 +149,7 @@ def test_quartic_bubble_reproduced_by_p4():
         pv = space.mesh.vertices[space.mesh.triangles[tri]]
         B = np.stack([pv[1] - pv[0], pv[2] - pv[0]], axis=1)
         ref = np.linalg.solve(B, x - pv[0])
-        vals, _ = mf.eval_basis(space, tri, ref)
+        vals, _ = eval_basis(space, tri, ref)
         got = vals @ coeffs.full()[space.conn[tri]]
         assert got == pytest.approx(f(x[None, :])[0], abs=1e-12)
 
@@ -197,7 +197,7 @@ def test_curl_of_interpolated_y_is_unit_x():
     space = mf.build_space(mf.generate_unit_square(3), 2)  # no Dirichlet
     coeffs = mf.interpolate(space, lambda x: x[:, 1])
     for t in (0, 7, 12):
-        val = mf.eval_curl_field(space, coeffs, t, (0.3, 0.3))
+        val = eval_curl_field(space, coeffs, t, (0.3, 0.3))
         assert np.allclose(val, [1.0, 0.0], atol=1e-12)
 
 
@@ -205,14 +205,14 @@ def test_curl_of_interpolated_x_is_minus_unit_y():
     space = mf.build_space(mf.generate_unit_square(3), 2)
     coeffs = mf.interpolate(space, lambda x: x[:, 0])
     for t in (1, 5, 16):
-        val = mf.eval_curl_field(space, coeffs, t, (0.25, 0.5))
+        val = eval_curl_field(space, coeffs, t, (0.25, 0.5))
         assert np.allclose(val, [0.0, -1.0], atol=1e-12)
 
 
 def test_zero_coefficients_have_zero_curl():
     space = mf.build_space(mf.generate_unit_square(2), 2, {1})
     coeffs = mf.zero_coefficients(space)
-    assert np.allclose(mf.eval_curl_field(space, coeffs, 3, (0.2, 0.6)), 0.0)
+    assert np.allclose(eval_curl_field(space, coeffs, 3, (0.2, 0.6)), 0.0)
 
 
 def test_coefficient_vector_length_checked():

@@ -26,7 +26,7 @@ def test_identity_map_leaves_law_unchanged(brauer_law):
 def test_uniform_scaling_leaves_isotropic_quadratic_invariant():
     # J = c^2 and b' = b/c cancel: J * (nu/2)|b/c|^2 = (nu/2)|b|^2
     c = 2.5
-    phys = mf.LinearIsotropic(3.0)
+    phys = mf.LinearLaw(3.0)
     law = geometry.pullback_material(geometry.affine_map(c * np.eye(2)), phys)
     x = _random_points(30, 3)
     b = rng(4).normal(size=(30, 2))
@@ -150,7 +150,7 @@ def test_energy_invariance_under_affine_map():
     # integrate w(b) over the reference mesh vs w'(b') over the image mesh
     A = np.array([[1.3, 0.4], [-0.2, 1.1]])
     amap = geometry.affine_map(A, (0.3, -0.1))
-    phys = mf.AnisotropicLinear([[2.0, 0.5], [0.5, 1.5]])
+    phys = mf.LinearLaw([[2.0, 0.5], [0.5, 1.5]])
     law = geometry.pullback_material(amap, phys)
 
     mesh = mf.generate_unit_square(3)
@@ -187,7 +187,7 @@ def test_energy_invariance_under_affine_map():
 def test_energy_invariance_under_polar_map_converges():
     # curved map: polygonal image meshes converge to the pulled-back value
     amap = geometry.quarter_annulus_map(0.5, 1.0)
-    phys = mf.LinearIsotropic(2.0)
+    phys = mf.LinearLaw(2.0)
     law = geometry.pullback_material(amap, phys)
     rule = rule_for_degree(8)
 

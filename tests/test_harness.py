@@ -80,7 +80,7 @@ def test_manufactured_exact_potential_vanishes_on_boundary():
 
 
 def test_manufactured_linear_error_decreases_monotonically():
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     rows = run_study(bench, order=1, levels=3)
     errs = [r.err_b for r in rows]
     assert errs[0] > errs[1] > errs[2]
@@ -142,7 +142,7 @@ def test_parent_evaluation_exact_on_unstructured_mesh():
 
     coarse = disc_mesh(3)
     fine = mf.refine_uniform(coarse)
-    law = {1: mf.LinearIsotropic(1.0)}
+    law = {1: mf.LinearLaw(1.0)}
     problem = assembly.Problem(mesh=coarse, order=1, materials=law, dirichlet_tags=frozenset())
     fine_problem = assembly.Problem(mesh=fine, order=1, materials=law, dirichlet_tags=frozenset())
     f = lambda x: 0.3 * x[:, 0] ** 2 - x[:, 0] * x[:, 1] + 0.1 * x[:, 1]
@@ -170,7 +170,7 @@ def test_benchmark_requires_known_error_mode():
         harness.Benchmark(
             name="x",
             base_mesh=mf.generate_unit_square(1),
-            materials={1: mf.LinearIsotropic(1.0)},
+            materials={1: mf.LinearLaw(1.0)},
             dirichlet_tags=frozenset({1}),
             error_mode="bogus",
         )
@@ -181,7 +181,7 @@ def test_benchmark_requires_known_error_mode():
 
 @pytest.fixture(scope="module")
 def linear_study_rows():
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     return run_study(bench, order=1, levels=3)
 
 
@@ -206,7 +206,7 @@ def test_study_needs_two_levels():
 
 def test_successive_refinement_mode_rates():
     # a smooth problem in refinement mode still shows order k+1
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     bench = harness.Benchmark(
         name="smooth_refinement",
         base_mesh=bench.base_mesh,
@@ -220,7 +220,7 @@ def test_successive_refinement_mode_rates():
 
 
 def test_successive_degree_mode():
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     bench = harness.Benchmark(
         name="smooth_degree",
         base_mesh=bench.base_mesh,
@@ -237,7 +237,7 @@ def test_successive_degree_mode():
 def test_reference_refinement_error_monotonicity():
     # the error of a fixed solution measured against a once- vs
     # twice-refined reference may only grow (up to 5 percent slack)
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     cfg = mf.NewtonConfig()
     results = [harness.solve_level(bench, lv, cfg, 1) for lv in range(3)]
     rule = harness._error_rule(1)
@@ -410,7 +410,7 @@ def test_write_study_csv_aborted_marker(tmp_path):
 
 
 def test_study_deterministic():
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     rows1 = run_study(bench, order=1, levels=2)
     rows2 = run_study(bench, order=1, levels=2)
     assert [(r.err_b, r.err_h, r.iter) for r in rows1] == [
@@ -419,7 +419,7 @@ def test_study_deterministic():
 
 
 def test_telemetry_files_written(tmp_path):
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     run_study(bench, order=1, levels=2, telemetry_dir=tmp_path)
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == ["manufactured_level0.json", "manufactured_level1.json"]

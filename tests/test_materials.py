@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magfem as mf
-from magfem.materials import (
-    _RADIAL_EPS, NU0, build_law, certify_bounds, material_eval, radial_samples,
-)
+from magfem.materials import _RADIAL_EPS, NU0, build_law, certify_bounds, radial_samples
 
-from conftest import rng
+from conftest import material_eval, rng
 
 BRAUER_K1, BRAUER_K2, BRAUER_K3 = 3.8, 2.17, 396.2
 
@@ -20,9 +18,9 @@ def brauer(brauer_law):
 def all_laws():
     return {
         "brauer": mf.brauer_reference(),
-        "linear": mf.LinearIsotropic(2.0),
-        "pm": mf.PermanentMagnet(NU0, (0.0, 1.2 * NU0)),
-        "aniso": mf.AnisotropicLinear([[3.0, 1.0], [1.0, 2.0]]),
+        "linear": mf.LinearLaw(2.0),
+        "pm": mf.LinearLaw(NU0, (0.0, 1.2 * NU0)),
+        "aniso": mf.LinearLaw([[3.0, 1.0], [1.0, 2.0]]),
     }
 
 
@@ -96,14 +94,14 @@ def test_brauer_at_zero_field(brauer):
 
 
 def test_linear_isotropic_example():
-    w, h, nu_d = material_eval(mf.LinearIsotropic(2.0), (0.0, 0.0), (3.0, 0.0))
+    w, h, nu_d = material_eval(mf.LinearLaw(2.0), (0.0, 0.0), (3.0, 0.0))
     assert w == pytest.approx(9.0)
     assert np.allclose(h, [6.0, 0.0])
     assert np.allclose(nu_d, 2.0 * np.eye(2))
 
 
 def test_permanent_magnet_example():
-    w, h, nu_d = material_eval(mf.PermanentMagnet(1.0, (0.0, 1.0)), (0.0, 0.0), (0.0, 0.0))
+    w, h, nu_d = material_eval(mf.LinearLaw(1.0, (0.0, 1.0)), (0.0, 0.0), (0.0, 0.0))
     assert w == pytest.approx(0.0)
     assert np.allclose(h, [0.0, -1.0])
     assert np.allclose(nu_d, np.eye(2))
@@ -125,6 +123,64 @@ def test_non_finite_flux_rejected(brauer):
 def test_build_law_rejects_non_finite_parameter(kind, params, name):
     with pytest.raises(ValueError, match=f"parameter '{name}' must be finite"):
         build_law(kind, params)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (np.nan,),
+        (np.inf,),
+        (NU0, (np.nan, 0.0)),
+        (np.inf, (0.0, 0.0)),
+        ([[1.0, 0.0], [0.0, np.inf]],),
+    ],
+    ids=["nu-nan", "nu-inf", "magnetization-nan", "nu-inf-magnetized", "matrix-inf"],
+)
+def test_linear_law_rejects_non_finite_parameters(args):
+    # library callers get the check build_law applies to INI input
+    with pytest.raises(ValueError, match="must be finite"):
+        mf.LinearLaw(*args)
+
+
+@pytest.mark.parametrize(
+    "kind, params, matrix, magnetization, bounds",
+    [
+        ("linear", {"nu": "2.5"}, [[2.5, 0.0], [0.0, 2.5]], (0.0, 0.0), (2.5, 2.5)),
+        (
+            "permanent_magnet", {"mx": "1.1e6", "my": "-3e5"},
+            [[NU0, 0.0], [0.0, NU0]], (1.1e6, -3e5), (NU0, NU0),
+        ),
+        (
+            "anisotropic", {"n11": "3", "n22": "2", "n12": "1"},
+            [[3.0, 1.0], [1.0, 2.0]], (0.0, 0.0), (1.381966011250105, 3.618033988749895),
+        ),
+    ],
+    ids=["linear", "permanent_magnet", "anisotropic"],
+)
+def test_linear_ini_kinds_build_one_linear_law(kind, params, matrix, magnetization, bounds):
+    law = build_law(kind, params)
+    assert isinstance(law, mf.LinearLaw)
+    assert np.array_equal(law.reluctivity, matrix)
+    assert np.array_equal(law.magnetization, magnetization)
+    assert (law.gamma, law.lipschitz, law.hess_lipschitz) == (*bounds, 0.0)
+
+    (n11, n12), (_, n22) = matrix
+    mx, my = magnetization
+    b = rng(11).normal(scale=1.5, size=(200, 2))
+    b0, b1 = b[:, 0], b[:, 1]
+    x = np.zeros_like(b)
+
+    def close(got, want, scale):  # within 4 ulps of the terms' magnitude
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
+
+    quad = n11 * b0 * b0 + 2 * n12 * b0 * b1 + n22 * b1 * b1
+    quad_scale = n11 * b0 * b0 + 2 * np.abs(n12 * b0 * b1) + n22 * b1 * b1
+    close(law.w(x, b), 0.5 * quad - (mx * b0 + my * b1),
+          0.5 * quad_scale + np.abs(mx * b0) + np.abs(my * b1))
+    h = law.dw(x, b)
+    close(h[:, 0], n11 * b0 + n12 * b1 - mx, np.abs(n11 * b0) + np.abs(n12 * b1) + abs(mx))
+    close(h[:, 1], n12 * b0 + n22 * b1 - my, np.abs(n12 * b0) + np.abs(n22 * b1) + abs(my))
+    close(law.d2w(x, b), np.broadcast_to(matrix, (len(b), 2, 2)), np.abs(matrix))
 
 
 # -- derivative consistency ----------------------------------------------------
@@ -195,7 +251,7 @@ def _outer_product_d2w(law, b):
     return out
 
 
-@pytest.mark.parametrize("name", ["brauer", "linear"])
+@pytest.mark.parametrize("name", ["brauer"])
 def test_hessian_is_bit_identical_to_the_outer_product_form(name):
     law = all_laws()[name]
     generator = rng(10)
@@ -224,7 +280,7 @@ def test_strong_monotonicity_of_brauer(brauer):
 
 
 def test_certify_linear_law():
-    gamma, lip, l2 = certify_bounds(mf.LinearIsotropic(3.5), radial_samples(2.0))
+    gamma, lip, l2 = certify_bounds(mf.LinearLaw(3.5), radial_samples(2.0))
     assert gamma == pytest.approx(3.5)
     assert lip == pytest.approx(3.5)
     assert l2 == pytest.approx(0.0, abs=1e-12)
@@ -232,7 +288,7 @@ def test_certify_linear_law():
 
 def test_certify_anisotropic_diag():
     gamma, lip, l2 = certify_bounds(
-        mf.AnisotropicLinear(np.diag([1.0, 4.0])), radial_samples(1.0)
+        mf.LinearLaw(np.diag([1.0, 4.0])), radial_samples(1.0)
     )
     assert gamma == pytest.approx(1.0)
     assert lip == pytest.approx(4.0)

@@ -206,7 +206,7 @@ def test_hierarchy_is_empty_for_parentless_p1():
 def test_hierarchy_is_empty_without_constrained_dofs():
     mesh = mf.refine_uniform(mf.generate_unit_square(4))
     # singular but consistent: Curl 1 = 0, so the load is orthogonal to the constants
-    problem, _, report = _solve(mesh, 1, set(), mf.LinearIsotropic(1.0), hs_field=_source)
+    problem, _, report = _solve(mesh, 1, set(), mf.LinearLaw(1.0), hs_field=_source)
     assert not problem.space.constrained.any()
     assert multigrid.hierarchy(problem.space) == ()
     assert report.converged
@@ -251,7 +251,7 @@ def test_indefinite_matrix_with_multigrid_raises_solver_error():
     # operator is indefinite
     mesh = mf.refine_uniform(mf.generate_unit_square(4))
     problem = assembly.Problem(
-        mesh=mesh, order=0, materials={1: mf.LinearIsotropic(1.0)}, dirichlet_tags=frozenset({1}),
+        mesh=mesh, order=0, materials={1: mf.LinearLaw(1.0)}, dirichlet_tags=frozenset({1}),
     )
     K = assembly.assemble_unit_stiffness(problem)
     A = (K - sp.diags(0.5 * K.diagonal())).tocsr()
@@ -263,7 +263,7 @@ def _parsed_square_problem(n, order=1):
     """cli_io's problem: a linear law driven by a current on a parsed unit square."""
     mesh = mf.parse_mesh(mf.serialize_mesh(mf.generate_unit_square(n)))
     return assembly.Problem(
-        mesh=mesh, order=order, materials={1: mf.LinearIsotropic(1000.0)},
+        mesh=mesh, order=order, materials={1: mf.LinearLaw(1000.0)},
         dirichlet_tags=frozenset({1}), js_density={1: 1e5},
     )
 

@@ -99,7 +99,7 @@ def test_newton_config_validation():
 
 
 def test_linear_law_converges_in_one_iteration():
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     problem = problem_at_level(bench, 1, order=1)
     coeffs, report = mf.newton_solve(problem)
     assert report.converged
@@ -409,7 +409,7 @@ def test_q_bound_formula(small_brauer_problem):
 
 def test_energy_gap_contraction_linear_case():
     # gamma = L: the observed energy gap must decay at least as fast as q
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(2.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(2.0))
     problem = problem_at_level(bench, 1, order=1)
     cfg = mf.NewtonConfig(rho=0.5, sigma=0.25)
     _, report = mf.newton_solve(problem, cfg=cfg)
@@ -488,7 +488,7 @@ def test_fixed_point_report_serializes_contraction_ratios(small_brauer_problem):
 
 def test_zarantonello_linear_one_step():
     nu = 2.0
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(nu))
+    bench = manufactured_benchmark(law=mf.LinearLaw(nu))
     problem = problem_at_level(bench, 1, order=1)
     coeffs, report = mf.zarantonello_solve(problem, tau=1.0 / nu)
     newton_ref, _ = mf.newton_solve(problem)
@@ -547,7 +547,7 @@ def test_line_search_failure_is_fatal_with_diagnostics(small_brauer_problem):
 
 
 def test_tail_diagnostic_linear_law_immediate():
-    bench = manufactured_benchmark(law=mf.LinearIsotropic(1.0))
+    bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     problem = problem_at_level(bench, 1, order=1)
     coeffs, report, history = mf.run_newton_with_history(problem)
     ref, _ = mf.newton_solve(problem, cfg=_tight(tol_increment=1e-13, tol_residual=1e-13))

@@ -372,7 +372,7 @@ def _linear_square_problem(n):
     return mf.Problem(
         mesh=mf.generate_unit_square(n),
         order=2,
-        materials={1: mf.LinearIsotropic(1000.0)},
+        materials={1: mf.LinearLaw(1000.0)},
         dirichlet_tags=frozenset({1}),
         js_density={1: 1.0e5},
     )

@@ -12,9 +12,13 @@ Runs ``magfem`` in-process from the source tree ``--src`` and writes into
 * ``coarse.mesh`` from ``mesh gen``, ``fine.mesh`` from ``mesh refine``,
   and ``solve.json`` and ``fields.csv`` from ``solve --fields`` on the
   fine mesh, with the run config in ``run.ini``;
+* ``linear.json`` and ``linear_fields.csv`` from ``solve --fields`` on the
+  fine mesh with the config ``linear.ini``: perfbench's cli_io problem, a
+  linear law driven by a ``js`` current;
 * ``singular.json`` from ``solve`` with the config ``singular.ini``: no
   Dirichlet boundary, so the potential is fixed only up to a constant
   and the Newton Hessian is singular;
+* one ``material-check`` per law kind, whose output is in the log;
 * ``log.txt``: every command with its exit code and standard output.
 
 Commands run inside ``--out`` with relative paths, so two trees' outputs
@@ -54,6 +58,29 @@ form = js
 region.1 = 4000.0
 """
 
+#: perfbench's cli_io problem: a linear law driven by a current density.
+LINEAR_CONFIG = """\
+[problem]
+k = 1
+dirichlet_tags = 1
+
+[material.1]
+law = linear
+nu = 1000.0
+
+[source]
+form = js
+region.1 = 100000.0
+"""
+
+#: One material-check per law kind; the linear kinds get non-default parameters.
+MATERIAL_CHECKS = (
+    ["brauer"],
+    ["linear", "--params", "nu=1000"],
+    ["permanent_magnet", "--params", "mx=1.1e6", "my=-3e5"],
+    ["anisotropic", "--params", "n11=3", "n22=2", "n12=1"],
+)
+
 #: Nonlinear iron under a constant source field on a generated mesh, with
 #: no Dirichlet boundary: a consistent, singular problem.
 SINGULAR_CONFIG = """\
@@ -86,7 +113,11 @@ def commands():
     yield ["mesh", "refine", "--in", "coarse.mesh", "--out", "fine.mesh"]
     yield ["solve", "--config", "run.ini", "--mesh", "fine.mesh",
            "--out", "solve.json", "--fields", "fields.csv"]
+    yield ["solve", "--config", "linear.ini", "--mesh", "fine.mesh",
+           "--out", "linear.json", "--fields", "linear_fields.csv"]
     yield ["solve", "--config", "singular.ini", "--out", "singular.json"]
+    for check in MATERIAL_CHECKS:
+        yield ["material-check", "--material", *check]
 
 
 def main(argv=None):
@@ -103,6 +134,7 @@ def main(argv=None):
     args.out.mkdir(parents=True, exist_ok=True)
     os.chdir(args.out)
     Path("run.ini").write_text(SOLVE_CONFIG)
+    Path("linear.ini").write_text(LINEAR_CONFIG)
     Path("singular.ini").write_text(SINGULAR_CONFIG)
     log = []
     for argv_ in commands():
