@@ -7,8 +7,11 @@ Element contributions are computed in vectorized batches and never in a
 contraction order chosen at run time: the load, the residual and its
 rounding scale contract with the basis curls in one two-operand einsum,
 the Hessian in explicit batched matrix products summed into a CSR
-sparsity pattern built once per `Problem`, filled in a fixed order. Assembled
-quantities are thus bit-reproducible on a given platform.
+sparsity pattern built once per `Problem`, filled in a fixed order. Given
+the levels of a multigrid hierarchy, the Hessian kernel also sums each
+level's Galerkin coarse operator from the same element matrices (see
+`multigrid`). Assembled quantities are thus bit-reproducible on a given
+platform.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ import scipy.sparse as sp
 
 from . import femspace
 from .quadrature import mapped_points, rule_for_degree
+
+
+#: Elements per batch of the Hessian kernel and of `residual_scale`, which
+#: bounds their temporaries.
+ELEMENT_BATCH = 2048
 
 
 class ProblemConfigError(ValueError):
@@ -199,8 +207,10 @@ def _material_apply(problem, name, b, points=None):
     out = None
     for tag, rows in problem.region_rows.items():
         law = problem.materials[tag]
-        xs = points[rows].reshape(-1, 2)
-        bs = b[rows].reshape(-1, 2)
+        if len(rows) == ne:  # one region holds every element: no gather
+            xs, bs = points.reshape(-1, 2), b.reshape(-1, 2)
+        else:
+            xs, bs = points[rows].reshape(-1, 2), b[rows].reshape(-1, 2)
         vals = getattr(law, name)(xs, bs)
         if out is None:
             out = np.empty((ne, nq) + vals.shape[1:])
@@ -243,59 +253,99 @@ def residual_scale(problem, coeffs):
     b = curl_at_quadrature(problem, coeffs)
     h = np.abs(_material_apply(problem, "dw", b))
     h *= problem.wq[..., None]  # the weights are positive
-    cell = np.einsum("elqi,eqi->el", np.abs(problem.curls), h)
+    cell = np.empty(problem.curls.shape[:2])
+    for start in range(0, len(cell), ELEMENT_BATCH):  # |Curl phi| one batch at a time
+        batch = slice(start, start + ELEMENT_BATCH)
+        cell[batch] = np.einsum("elqi,eqi->el", np.abs(problem.curls[batch]), h[batch])
     return float(np.linalg.norm(_free_sum(problem.space, cell) + np.abs(problem.load)))
 
 
-def assemble_hessian(problem, coeffs):
+def assemble_hessian(problem, coeffs, levels=None):
     """Second derivative of the energy on free dofs, as symmetric CSR.
 
-    Entry (i, j) is <d2w(Curl a_h) Curl phi_j, Curl phi_i>_h.
+    Entry (i, j) is <d2w(Curl a_h) Curl phi_j, Curl phi_i>_h. Given the
+    `levels` of `multigrid.hierarchy`, returns instead the tuple of the
+    Hessian and its Galerkin coarse operators on those levels, finest
+    first, summed from the same element matrices.
     """
     b = curl_at_quadrature(problem, coeffs)
     nu_d = _material_apply(problem, "d2w", b)  # (ne, nq, 2, 2)
     del b
     nu_d *= problem.wq[..., None, None]  # owned here, so weighted in place
-    return _scatter_matrix(problem, nu_d)
+    operators = _scatter_matrix(problem, nu_d, levels or ())
+    return operators if levels is not None else operators[0]
 
 
-def assemble_unit_stiffness(problem):
+def assemble_unit_stiffness(problem, levels=None):
     """Stiffness matrix for unit reluctivity, <Curl phi_j, Curl phi_i>_h.
 
     The fixed-point iteration's preconditioner; built afresh on each call.
+    `levels` as in `assemble_hessian`.
     """
-    return _scatter_matrix(problem, problem.wq[..., None, None] * np.eye(2))
+    operators = _scatter_matrix(problem, problem.wq[..., None, None] * np.eye(2), levels or ())
+    return operators if levels is not None else operators[0]
 
 
-#: Elements per batch of the Hessian kernel, which bounds its temporaries.
-ELEMENT_BATCH = 2048
-
-
-def _scatter_matrix(problem, t):
+def _scatter_matrix(problem, t, levels):
     """<t Curl phi_j, Curl phi_i> summed over the points, as CSR on the problem's pattern.
 
     `t` is (ne, nq, 2, 2) and already carries the quadrature weights. Per
-    batch of ELEMENT_BATCH elements, two batched matrix products: u =
-    Curl phi_l . t at every point, written element-major, then the element
-    matrices as u Curl phi_m^T contracted over the points and components.
-    np.add.at adds each entry into its slot, in element order across the
-    batches, so every slot is summed in the same order as in one batch.
+    batch of elements, two batched matrix products: u = Curl phi_l . t at
+    every point, written element-major, then the element matrices as
+    u Curl phi_m^T contracted over the points and components. The same
+    batch's element matrices give the coarse ones of every level in turn
+    (`_coarse_element_matrices`), so a batch holds whole elements of the
+    coarsest level: ELEMENT_BATCH rounded up to a multiple of the fine
+    elements in one of them. np.add.at adds each entry into its slot, in
+    element order across the batches, so every slot is summed in the same
+    order as in one batch. Returns the fine operator and one per level.
     """
     curls = problem.curls
     ne, nl, nq, _ = curls.shape
-    nnz = len(problem.indices)
-    data = np.zeros(nnz + 1)
-    for start in range(0, ne, ELEMENT_BATCH):
-        batch = slice(start, start + ELEMENT_BATCH)
+    patterns = [(problem.slots, problem.indices, problem.indptr)]
+    patterns += [(level.slots, level.indices, level.indptr) for level in levels]
+    datas = [np.zeros(len(indices) + 1) for _, indices, _ in patterns]
+    per_coarsest = int(np.prod([len(level.tables) for level in levels]))
+    step = -(-ELEMENT_BATCH // per_coarsest) * per_coarsest
+    for start in range(0, ne, step):
+        batch = slice(start, start + step)
         c = curls[batch]
         u = np.empty(c.shape)
         np.matmul(c.transpose(0, 2, 1, 3), t[batch], out=u.transpose(0, 2, 1, 3))
         flat = c.reshape(-1, nl, nq * 2)
         cell = u.reshape(flat.shape) @ flat.transpose(0, 2, 1)  # (batch, nl, nl)
-        np.add.at(data, problem.slots[batch].ravel(), cell.ravel())
-    n = problem.space.n_free
+        del c, u, flat  # not alive through the coarse levels
+        np.add.at(datas[0], problem.slots[batch].ravel(), cell.ravel())
+        first = start
+        for level, data in zip(levels, datas[1:]):
+            cell = _coarse_element_matrices(cell, level.tables)
+            first //= len(level.tables)
+            np.add.at(data, level.slots[first:first + len(cell)].ravel(), cell.ravel())
+    return tuple(_csr(data, indices, indptr) for data, (_, indices, indptr) in zip(datas, patterns))
+
+
+def _coarse_element_matrices(cell, tables):
+    """Coarse element matrices sum_c Q_c^T E_{children t + c} Q_c; (T, nc, nc).
+
+    `cell` holds the fine element matrices E of whole coarse elements, in
+    element order; `tables` the Q_c (children, nf, nc). Per child, two
+    matrix products over all T coarse elements at once: X[b, (t, i)] =
+    sum_j Q_c[j, b] E[t, i, j], then X Q_c, which is Q_c^T E Q_c with its
+    axes ordered (b, t, a); the children are summed in order.
+    """
+    children, nf, nc = tables.shape
+    out = np.zeros((nc * (len(cell) // children), nc))
+    for child, q in enumerate(tables):
+        x = q.T @ cell[child::children].reshape(-1, nf).T  # (nc, T nf)
+        out += x.reshape(-1, nf) @ q  # ((b, t), a)
+    return out.reshape(nc, -1, nc).transpose(1, 2, 0)
+
+
+def _csr(data, indices, indptr):
+    """CSR matrix on a shared pattern; data has the trailing discard slot."""
+    n = len(indptr) - 1
     # the matrix owns its index arrays, so no scipy operation can reach the pattern
-    mat = sp.csr_matrix((data[:nnz], problem.indices.copy(), problem.indptr.copy()), shape=(n, n))
+    mat = sp.csr_matrix((data[:-1], indices.copy(), indptr.copy()), shape=(n, n))
     mat.has_canonical_format = True  # sorted, duplicate-free columns by construction
     return mat
 

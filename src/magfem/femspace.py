@@ -60,7 +60,8 @@ def _reference_element(p):
     nodes = _reference_nodes(p)
     expo = _monomial_exponents(p)
     vander = np.array([[x**a * y**b for a, b in expo] for x, y in nodes])
-    coeffs = np.linalg.inv(vander)  # column i: monomial coefficients of shape i
+    # V C = I: column i of C holds the monomial coefficients of shape i
+    coeffs = np.linalg.solve(vander, np.eye(len(nodes)))
     nodes.flags.writeable = False
     coeffs.flags.writeable = False
     return nodes, tuple(expo), coeffs

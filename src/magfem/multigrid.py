@@ -10,25 +10,43 @@ Methods and Applications, 1985; Bramble-Pasciak-Xu, Math. Comp. 55, 1990).
 Study errors use the same operator to carry a coarse solution to the
 next-finer level.
 
+Since the spaces nest, P^T A P is the coarse space's assembly of the fine
+bilinear form: coarse element t's matrix is sum_c Q_c^T E_c Q_c over the
+fine element matrices E_c it contains, with Q_c the coarse shape values at
+child c's reference nodes. `hierarchy` builds each `Level`'s tables and
+coarse sparsity pattern once per solve, and the assembly kernel sums the
+coarse element matrices batch by batch beside the fine ones
+(`assembly.assemble_hessian` with `levels`), so no sparse matrix product
+runs on the geometric levels. A caller holding only a matrix forms them
+with `galerkin_operators`.
+
 Below the base P1 space, while the operator has more than
 MAX_COARSE_DOFS rows, `VCycle` adds levels by smoothed aggregation
 (Vanek-Mandel-Brezina, Computing 56, 1996): strong couplings, aggregates
 around a distance-2 maximal independent set (Bell-Dalton-Olson, SIAM J.
 Sci. Comput. 34, 2012), and a piecewise-constant tentative prolongator
-smoothed by one damped-Jacobi step. A file mesh, which has no parent,
-thus gets the P_p -> P1 step and algebraic levels below it.
+smoothed by one damped-Jacobi step; their Galerkin operators are sparse
+products. A file mesh, which has no parent, thus gets the P_p -> P1 step
+and algebraic levels below it. The coarsest operator is solved through the
+inverse of its Cholesky factor.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import _csr_pattern
 from .femspace import _reference_nodes, _shape_values, build_space
 from .mesh import child_reference_map, meshes_equal
 
-#: Largest operator inverted densely (1.3 MB); larger ones get algebraic levels.
+#: Largest operator factored densely (1.3 MB); larger ones get algebraic levels.
 MAX_COARSE_DOFS = 400
+
+#: Size of the diagonal blocks inverted together in `_lower_inverse`.
+_BLOCK = 8
 
 #: Damped-Jacobi weight and sweeps per smoothing.
 OMEGA = 0.6
@@ -74,25 +92,68 @@ def prolongation(fine, coarse):
     parent = fine.mesh.parent
     if refined and (parent is None or not meshes_equal(parent, coarse.mesh)):
         raise ValueError("fine mesh is not a uniform refinement of the coarse mesh")
-    nl = fine.n_local
+    tables = _child_tables(fine, coarse)
+    children = len(tables)
     _, first = np.unique(fine.conn, return_index=True)  # one host slot per dof
-    elem, local = np.divmod(first, nl)
-    xi = _reference_nodes(fine.degree)[local]
-    if refined:
-        matrix, offset = child_reference_map(elem % 4)
-        elem = elem // 4
-        xi = np.einsum("nij,nj->ni", matrix, xi) + offset
-    vals = _shape_values(coarse.degree, xi)  # (num_dofs, coarse n_local)
+    elem, local = np.divmod(first, fine.n_local)
+    vals = tables[elem % children, local]  # (num_dofs, coarse n_local)
     rows = np.broadcast_to(fine.free_index[:, None], vals.shape)
-    cols = coarse.free_index[coarse.conn[elem]]
-    keep = (rows >= 0) & (cols >= 0) & (np.abs(vals) > _ZERO)
+    cols = coarse.free_index[coarse.conn[elem // children]]
+    keep = (rows >= 0) & (cols >= 0) & (vals != 0.0)
     return sp.csr_matrix(
         (vals[keep], (rows[keep], cols[keep])), shape=(fine.n_free, coarse.n_free)
     )
 
 
+def _child_tables(fine, coarse):
+    """Q_c, the coarse shape values at child c's fine reference nodes.
+
+    (children, fine n_local, coarse n_local): fine element f is child
+    f % children of coarse element f // children, with 4 children across a
+    refinement (through `child_reference_map`) and 1 on the same mesh.
+    Values at or below _ZERO are rounding noise at a zero of the shape
+    function and are set to 0.
+    """
+    nodes = _reference_nodes(fine.degree)
+    if fine.mesh is coarse.mesh:
+        xi = nodes[None]
+    else:
+        matrix, offset = child_reference_map(np.arange(4))
+        xi = np.einsum("cij,nj->cni", matrix, nodes) + offset[:, None]
+    tables = _shape_values(coarse.degree, xi.reshape(-1, 2)).reshape(len(xi), len(nodes), -1)
+    tables[np.abs(tables) <= _ZERO] = 0.0
+    return tables
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """One geometric step of `hierarchy`, from a fine space to a coarser one.
+
+    `P` is the free-dof prolongation and `R` its transpose, both CSR.
+    `tables` are the Q_c of `_child_tables`, which the assembly kernel
+    applies to the fine element matrices. `slots`, `indices` and `indptr`
+    are the coarse space's CSR pattern (`assembly._csr_pattern`).
+    """
+
+    P: sp.csr_matrix
+    R: sp.csr_matrix
+    tables: np.ndarray
+    slots: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _level(fine, coarse):
+    # With the noise at the shape functions' zeros dropped, no free coarse dof
+    # has a value at a constrained fine node (Dirichlet edges nest, and a
+    # shape function vanishes on the edges its node is not on), so the
+    # element matrices' constrained rows need no masking.
+    P = prolongation(fine, coarse)
+    return Level(P, P.T.tocsr(), _child_tables(fine, coarse), *_csr_pattern(coarse))
+
+
 def hierarchy(space):
-    """Free-dof prolongations from coarser spaces into `space`, finest first.
+    """The geometric `Level`s below `space`, finest first.
 
     One P_p step per refinement down to the base mesh, the mesh without a
     parent, then P_p -> P1 on the base mesh when p > 1; `VCycle` adds
@@ -108,7 +169,27 @@ def hierarchy(space):
         spaces.append(build_space(spaces[-1].mesh.parent, space.degree, space.dirichlet_tags))
     if space.degree > 1:
         spaces.append(build_space(spaces[-1].mesh, 1, space.dirichlet_tags))
-    return tuple(prolongation(f, c) for f, c in zip(spaces, spaces[1:]))
+    return tuple(_level(f, c) for f, c in zip(spaces, spaces[1:]))
+
+
+def _galerkin(A, P, R):
+    """The Galerkin operator R A P of the CSR matrix A, as a sparse product."""
+    return R @ (A @ P)
+
+
+def galerkin_operators(matrix, levels):
+    """The Galerkin operators of the CSR `matrix` on `levels`, finest first.
+
+    For a caller that holds only the matrix: sparse products, as on the
+    aggregation levels. A Newton step gets the same operators from the
+    assembly kernel (`assembly.assemble_hessian` with `levels`).
+    """
+    operators = []
+    A = matrix
+    for level in levels:
+        A = _galerkin(A, level.P, level.R)
+        operators.append(A)
+    return tuple(operators)
 
 
 def _l1_row_sums(A):
@@ -175,57 +256,85 @@ def aggregation_prolongation(A):
     return T - AT
 
 
+def _lower_inverse(L):
+    """Inverse of the lower-triangular matrix L, from matrix products.
+
+    The diagonal blocks of _BLOCK rows (the last one padded with the
+    identity) are inverted together by row substitution, then block row k
+    of the inverse is -D_k^-1 (L[k, :k] X[:k, :k]).
+    """
+    n = len(L)
+    nb = -(-n // _BLOCK)
+    padded = np.eye(nb * _BLOCK)
+    padded[:n, :n] = L
+    blocks = np.arange(nb)
+    diag = padded.reshape(nb, _BLOCK, nb, _BLOCK)[blocks, :, blocks]  # (nb, _BLOCK, _BLOCK)
+    inv = np.zeros_like(diag)
+    for i in range(_BLOCK):
+        inv[:, i, :i] = -(diag[:, i, None, :i] @ inv[:, :i, :i])[:, 0] / diag[:, i, i, None]
+        inv[:, i, i] = 1.0 / diag[:, i, i]
+    X = np.zeros_like(padded)
+    for k in blocks:
+        rows = slice(k * _BLOCK, (k + 1) * _BLOCK)
+        head = k * _BLOCK
+        X[rows, rows] = inv[k]
+        X[rows, :head] = -inv[k] @ (padded[rows, :head] @ X[:head, :head])
+    return X[:n, :n]
+
+
 class VCycle:
     """One V(2,2) cycle with damped Jacobi smoothing as an SPD preconditioner.
 
-    Levels follow `prolongations`, then smoothed-aggregation prolongators
-    while the operator has more than MAX_COARSE_DOFS rows. Coarse
-    operators are Galerkin products P^T A P; the coarsest is solved
-    exactly through the inverse of its Cholesky factor. Where aggregation
-    stalls (no strong couplings left) above MAX_COARSE_DOFS rows, no dense
-    matrix is formed (`coarse_inverse` is None): that operator is smoothed
-    as one more level, whose coarsest "solve" is its own weighted-Jacobi
-    step W r. W is SPD, so the cycle stays SPD. `matrix` must have a
-    positive diagonal.
+    `operators` are the finest operator and its Galerkin operators on the
+    geometric `levels` of `hierarchy`, finest first (from the assembly
+    kernel, or `galerkin_operators`). Below the last one, smoothed-
+    aggregation levels follow while the operator has more than
+    MAX_COARSE_DOFS rows, with Galerkin products P^T A P. The coarsest
+    operator A = L L^T is solved exactly as L^-T (L^-1 r), with
+    `inverse_factor` = L^-1. Where aggregation stalls (no strong couplings
+    left) above MAX_COARSE_DOFS rows, no dense matrix is formed
+    (`inverse_factor` is None): that operator is smoothed as one more level,
+    whose coarsest "solve" is its own weighted-Jacobi step W r. W is SPD, so
+    the cycle stays SPD. Every operator must have a positive diagonal; a
+    coarsest operator that is not positive definite raises
+    np.linalg.LinAlgError.
     """
 
-    def __init__(self, matrix, prolongations):
-        self.levels = []  # (A, smoother weights, P, P^T) per smoothed level; P None if stalled
-        A = matrix.tocsr()
-        for P in prolongations:
-            A = self._coarsen(A, P)
+    def __init__(self, operators, levels):
+        if len(operators) != len(levels) + 1:
+            raise ValueError(f"{len(operators)} operators for {len(levels)} levels")
+        # (A, smoother weights, P, P^T) per smoothed level; P None if stalled
+        self.levels = [
+            (A, _smoother_weights(A), level.P, level.R) for A, level in zip(operators, levels)
+        ]
+        A = operators[-1]
         while A.shape[0] > MAX_COARSE_DOFS:
             P = aggregation_prolongation(A)
             if P.shape[1] == A.shape[0]:
                 break  # no strong couplings left to aggregate
-            A = self._coarsen(A, P)
+            R = P.T.tocsr()
+            self.levels.append((A, _smoother_weights(A), P, R))
+            A = _galerkin(A, P, R)
         if A.shape[0] > MAX_COARSE_DOFS:
             # aggregation stalled: smooth this operator as one more level, with
             # no coarser one below it
             self.levels.append((A, _smoother_weights(A), None, None))
-            self.coarse_inverse = None
+            self.inverse_factor = None
         else:
-            inv_factor = np.linalg.inv(np.linalg.cholesky(A.toarray()))
-            self.coarse_inverse = inv_factor.T @ inv_factor
-
-    def _coarsen(self, A, P):
-        """Smooth on A, correct through P; returns the Galerkin operator P^T A P."""
-        R = P.T.tocsr()
-        self.levels.append((A, _smoother_weights(A), P, R))
-        return R @ (A @ P)
+            self.inverse_factor = _lower_inverse(np.linalg.cholesky(A.toarray()))
 
     @property
     def sizes(self):
         """Rows of the operator on every level, finest first."""
         sizes = [A.shape[0] for A, _, _, _ in self.levels]
-        return sizes if self.coarse_inverse is None else sizes + [self.coarse_inverse.shape[0]]
+        return sizes if self.inverse_factor is None else sizes + [len(self.inverse_factor)]
 
     def __call__(self, r):
         return self._cycle(0, r)
 
     def _cycle(self, level, r):
         if level == len(self.levels):
-            return self.coarse_inverse @ r
+            return self.inverse_factor.T @ (self.inverse_factor @ r)
         A, d, P, R = self.levels[level]
         x = d * r
         for _ in range(SWEEPS - 1):

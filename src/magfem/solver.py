@@ -41,9 +41,13 @@ Each solve builds a multigrid V-cycle (see `multigrid`): P_p levels
 over the `refine_uniform` hierarchy, the P_p -> P1 step on the base mesh,
 and smoothed-aggregation levels below a large P1 space, so that CG
 iteration counts stay flat under refinement on generated and file meshes
-alike. Jacobi remains where no coarser space exists (P1 on a mesh without
-a parent) or the system is singular (no constrained dof); Newton then
-takes the constants out of each right-hand side (`newton_solve`).
+alike. The hierarchy is built once per solve; each step's Hessian
+assembly also sums its Galerkin operators on the geometric levels from
+the element matrices, and the coarsest level is solved through its
+Cholesky factor. Jacobi remains where no coarser space exists (P1 on a
+mesh without a parent) or the system is singular (no constrained dof);
+Newton then takes the constants out of each right-hand side
+(`newton_solve`).
 """
 
 from __future__ import annotations
@@ -206,13 +210,15 @@ class CGInfo:
         return {"kind": self.preconditioner, "levels": list(self.levels)}
 
 
-def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
+def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
     """Preconditioned conjugate gradients for an SPD sparse system.
 
-    The preconditioner is a multigrid V-cycle, built here from `matrix`
-    over `prolongations` (from `multigrid.hierarchy`) and the algebraic
-    levels `multigrid.VCycle` adds below them, or Jacobi when there are
-    none. CGInfo names the preconditioner and the rows of its levels.
+    The preconditioner is a multigrid V-cycle over the geometric `levels`
+    (from `multigrid.hierarchy`), whose Galerkin operators of `matrix` are
+    `coarse` (from `assembly.assemble_hessian` with those levels, or
+    `multigrid.galerkin_operators`), and the algebraic levels
+    `multigrid.VCycle` adds below them; or Jacobi when there are no levels.
+    CGInfo names the preconditioner and the rows of its levels.
 
     Iterates until the recursive residual satisfies
     ||r||_2 <= rel_tol ||rhs||_2, then measures the true residual and, if
@@ -226,7 +232,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     n = matrix.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     b_norm = float(np.linalg.norm(rhs))
-    kind = "multigrid" if prolongations else "jacobi"
+    kind = "multigrid" if levels else "jacobi"
     if n == 0 or b_norm == 0.0:
         return np.zeros(n), CGInfo(0, True, 0.0, kind, ())
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(1000, 5 * n)
@@ -235,14 +241,14 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
     diag = matrix.diagonal()
     if np.any(diag <= 0):
         raise SolverError("matrix diagonal not positive; not SPD")
-    if prolongations:
+    if levels:
         try:
-            precondition = multigrid.VCycle(matrix, prolongations)
+            precondition = multigrid.VCycle((matrix, *coarse), levels)
         except np.linalg.LinAlgError:
             raise SolverError("coarse operator not positive definite; not SPD") from None
-        levels = tuple(precondition.sizes)
+        sizes = tuple(precondition.sizes)
     else:
-        levels = (n,)
+        sizes = (n,)
         inv_diag = 1.0 / diag
 
         def precondition(r):
@@ -285,7 +291,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), prolongations=()):
         rz = rz_new
     if true_res is None:
         true_res = float(np.linalg.norm(rhs - matrix @ x))
-    return x, CGInfo(iterations, true_res <= tol, true_res, kind, levels)
+    return x, CGInfo(iterations, true_res <= tol, true_res, kind, sizes)
 
 
 def _certified(problem, cfg):
@@ -349,7 +355,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     vec = a.values.copy()
     if history is not None:
         history.append(vec.copy())
-    prolongations = multigrid.hierarchy(space)
+    levels = multigrid.hierarchy(space)
     singular = not space.constrained.any()  # H's kernel holds the constants
 
     records = []
@@ -382,7 +388,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
             failure = "max_iter"
             break
 
-        hess = assembly.assemble_hessian(problem, CoefficientVector(space, vec))
+        hess, *coarse = assembly.assemble_hessian(problem, CoefficientVector(space, vec), levels)
         # forcing term: the first solve is exact, later ones as loose as the
         # residual's squared decrease allows
         eta = cfg.cg.rel_tol
@@ -392,10 +398,10 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         if singular:  # the rounding along the kernel would send CG into it
             rhs -= rhs.mean()
         delta, cg_info = solve_cg(
-            hess, rhs, replace(cfg.cg, rel_tol=eta), prolongations=prolongations
+            hess, rhs, replace(cfg.cg, rel_tol=eta), levels=levels, coarse=coarse
         )
         preconditioner = preconditioner or cg_info.describe()
-        del hess  # not alive through the next step's assembly peak
+        del hess, coarse  # not alive through the next step's assembly peak
         # = <dw(b) - h_s, Curl delta>_h < 0; res is finite here, so the slope
         # is not finite only for a non-finite or overflowing delta, which is
         # reported as failure "non_finite", not as a warning (see the trial)
@@ -490,8 +496,8 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
     space = problem.space
     a = zero_coefficients(space) if a0 is None else a0
     vec = a.values.copy()
-    K = assembly.assemble_unit_stiffness(problem)
-    prolongations = multigrid.hierarchy(space)
+    levels = multigrid.hierarchy(space)
+    K, *coarse = assembly.assemble_unit_stiffness(problem, levels)
     certified = _certified(problem, cfg)
     tau_max = 2.0 * certified["gamma"] / certified["lipschitz"] ** 2 if certified else np.inf
     if tau >= tau_max:
@@ -512,7 +518,7 @@ def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
         coeffs = CoefficientVector(space, vec)
         res = assembly.assemble_residual(problem, coeffs)
         energy = assembly.assemble_energy(problem, coeffs)
-        delta, cg_info = solve_cg(K, -tau * res, cfg.cg, prolongations=prolongations)
+        delta, cg_info = solve_cg(K, -tau * res, cfg.cg, levels=levels, coarse=coarse)
         preconditioner = preconditioner or cg_info.describe()
         inc_norm = float(np.sqrt(max(delta @ (K @ delta), 0.0)))
         records.append(

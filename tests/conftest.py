@@ -113,6 +113,21 @@ def integrate_against_curls(curls, g, magnitude=False):
     return cell
 
 
+def galerkin_oracle(matrix, levels):
+    """Oracle for the coarse operators of `matrix` on the geometric `levels`.
+
+    scipy's sparse product P^T A P of each level's prolongation, finest
+    first: the Galerkin operators that the assembly kernel sums from the
+    element matrices.
+    """
+    operators = []
+    A = matrix
+    for level in levels:
+        A = (level.P.T @ (A @ level.P)).tocsr()
+        operators.append(A)
+    return operators
+
+
 def eval_basis(space, element, point):
     """Values and physical Curl vectors of all local shape functions.
 

@@ -494,6 +494,37 @@ def test_residual_scale_matches_the_absolute_assembly(brauer_law):
     assert assembly.residual_scale(problem, coeffs) == want
 
 
+def test_residual_scale_over_several_batches_matches_the_whole_array_formula(brauer_law):
+    problem = _problem(brauer_law, n=33, order=1, js=lambda x: np.full(len(x), 1e5))
+    assert problem.mesh.num_triangles > assembly.ELEMENT_BATCH
+    coeffs = _random_coeffs(problem, scale=1e-3, seed=14)
+    b = assembly.curl_at_quadrature(problem, coeffs)
+    h = np.abs(assembly._material_apply(problem, "dw", b))
+    cell = np.einsum("elqi,eqi->el", np.abs(problem.curls), problem.wq[..., None] * h)
+    want = float(np.linalg.norm(assembly._free_sum(problem.space, cell) + np.abs(problem.load)))
+    assert assembly.residual_scale(problem, coeffs) == want
+
+
+def test_one_region_gives_the_bits_of_the_same_law_over_two_regions(brauer_law):
+    mesh = mf.generate_unit_square(6)
+    split = mf.with_region_tags(mesh, np.where(np.arange(mesh.num_triangles) % 3 == 0, 2, 1))
+    one, two = (
+        Problem(mesh=m, order=2, materials=laws, dirichlet_tags=frozenset({1}))
+        for m, laws in ((mesh, {1: brauer_law}), (split, {1: brauer_law, 2: brauer_law}))
+    )
+    assert len(one.region_rows) == 1 and len(two.region_rows) == 2
+    b = rng(15).normal(scale=2.0, size=one.points.shape)  # linear and saturated points
+    for name in ("w", "dw", "d2w"):
+        got = assembly._material_apply(one, name, b)
+        assert got.tobytes() == assembly._material_apply(two, name, b).tobytes()
+    coeffs = _random_coeffs(one, scale=0.1, seed=16)
+    split_coeffs = CoefficientVector(two.space, coeffs.values)
+    assert (
+        assemble_hessian(one, coeffs).data.tobytes()
+        == assemble_hessian(two, split_coeffs).data.tobytes()
+    )
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 @pytest.mark.parametrize("case", ["brauer", "pm_toy", "annulus", "unconstrained"])
 def test_residual_and_its_scale_match_the_per_point_oracle(case, order, brauer_law):

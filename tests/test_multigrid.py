@@ -14,6 +14,8 @@ import magfem as mf
 from magfem import assembly, harness, multigrid, solver
 from magfem.femspace import CoefficientVector, build_space, interpolate
 
+from conftest import galerkin_oracle
+
 PROLONGATION_TOL = 1e-12      # relative, max-norm
 SYMMETRY_TOL = 1e-12          # relative to the largest preconditioner entry
 SMOOTHER_BOUND = 2.0          # x += W (r - A x) converges iff lambda_max(W A) < 2
@@ -69,10 +71,10 @@ def test_prolongation_maps_coarse_interpolant_to_fine_interpolant(base, degree):
     steps = multigrid.hierarchy(fine)
     spaces = _chain(fine)
     assert len(steps) == (3 if degree > 1 else 2)
-    for i, P in enumerate(steps):
+    for i, level in enumerate(steps):
         f = poly if spaces[i + 1].degree == degree else line  # P_p -> P1 step: linear
         want = interpolate(spaces[i], f).values
-        got = P @ interpolate(spaces[i + 1], f).values
+        got = level.P @ interpolate(spaces[i + 1], f).values
         assert np.max(np.abs(got - want)) <= PROLONGATION_TOL * np.max(np.abs(want))
 
 
@@ -93,25 +95,37 @@ def test_prolongation_rejects_a_fine_mesh_without_matching_parent():
     assert (copy != own).nnz == 0
 
 
-def _hessian(case, order):
-    """A Newton Hessian on a refined mesh: at the manufactured exact solution
-    (deep in the nonlinear range), or at pm_toy's first Newton iterate, where
-    saturated iron makes it strongly anisotropic."""
+def _newton_iterate(problem):
+    """The iterate after the first Newton step from zero."""
+    history = []
+    solver.newton_solve(problem, cfg=solver.NewtonConfig(max_iter=1), history=history)
+    return CoefficientVector(problem.space, history[1])
+
+
+def _state(case, order):
+    """A Newton state on a refined mesh: the manufactured exact solution (deep
+    in the nonlinear range), or pm_toy's first Newton iterate, where saturated
+    iron makes the Hessian strongly anisotropic."""
     if case == "manufactured":
         bench = harness.manufactured_benchmark(base_n=2)
         problem = harness.problem_at_level(bench, 1, order=order)
-        state = interpolate(problem.space, bench.exact_potential)
-    else:
-        problem = harness.problem_at_level(harness.pm_toy_benchmark(base_n=5), 1, order=order)
-        history = []
-        solver.newton_solve(problem, cfg=solver.NewtonConfig(max_iter=1), history=history)
-        state = CoefficientVector(problem.space, history[1])
+        return problem, interpolate(problem.space, bench.exact_potential)
+    problem = harness.problem_at_level(harness.pm_toy_benchmark(base_n=5), 1, order=order)
+    return problem, _newton_iterate(problem)
+
+
+def _hessian(case, order):
+    problem, state = _state(case, order)
     return problem, assembly.assemble_hessian(problem, state)
 
 
 def _vcycle(case, order):
-    problem, A = _hessian(case, order)
-    return A, multigrid.VCycle(A, multigrid.hierarchy(problem.space))
+    """The Hessian at `_state`, the V-cycle a Newton step builds for it, and
+    its geometric levels."""
+    problem, state = _state(case, order)
+    levels = multigrid.hierarchy(problem.space)
+    operators = assembly.assemble_hessian(problem, state, levels)
+    return operators[0], multigrid.VCycle(operators, levels), levels
 
 
 def _lambda_max(A, weights):
@@ -122,7 +136,7 @@ def _lambda_max(A, weights):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 @pytest.mark.parametrize("case", ["manufactured", "pm_toy"])
 def test_vcycle_is_symmetric_positive_definite(case, order):
-    A, vcycle = _vcycle(case, order)
+    A, vcycle, _ = _vcycle(case, order)
     M = np.column_stack([vcycle(e) for e in np.eye(A.shape[0])])
     scale = np.max(np.abs(M))
     assert np.max(np.abs(M - M.T)) <= SYMMETRY_TOL * scale
@@ -132,14 +146,14 @@ def test_vcycle_is_symmetric_positive_definite(case, order):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 @pytest.mark.parametrize("case", ["manufactured", "pm_toy"])
 def test_smoother_converges_on_every_level(case, order):
-    _, vcycle = _vcycle(case, order)
+    _, vcycle, _ = _vcycle(case, order)
     for A_level, weights, _, _ in vcycle.levels:
         assert _lambda_max(A_level, weights) < SMOOTHER_BOUND
 
 
 def test_plain_damped_jacobi_would_diverge_on_saturated_p4():
     # why the smoother weights are capped: omega / a_ii alone fails here
-    A, _ = _vcycle("pm_toy", 3)
+    A, _, _ = _vcycle("pm_toy", 3)
     assert _lambda_max(A, multigrid.OMEGA / A.diagonal()) > SMOOTHER_BOUND
 
 
@@ -187,7 +201,7 @@ def test_hierarchy_of_parsed_mesh_is_the_p_step(monkeypatch):
     assert mesh.parent is None
     problem, a_mg, report = _solve(mesh, 1, {1}, hs_field=_field)
     steps = multigrid.hierarchy(problem.space)
-    assert [P.shape for P in steps] == [(225, 49)]
+    assert [level.P.shape for level in steps] == [(225, 49)]
     assert report.converged
     assert report.preconditioner == {"kind": "multigrid", "levels": [225, 49]}
     _, a_jac, report_jac = _jacobi_solve(monkeypatch, mesh, 1, {1}, hs_field=_field)
@@ -218,12 +232,11 @@ def test_base_over_the_coarse_cap_gets_algebraic_levels(monkeypatch):
     source = dict(js_density=lambda x: np.full(len(x), 1e3))
     problem, a_mg, report = _solve(mesh, 0, {1}, **source)
     steps = multigrid.hierarchy(problem.space)
-    assert [P.shape[1] for P in steps] == [BASE_P1_DOFS_40]
-    A = assembly.assemble_hessian(problem, a_mg)
-    vcycle = multigrid.VCycle(A, steps)
+    assert [level.P.shape[1] for level in steps] == [BASE_P1_DOFS_40]
+    vcycle = multigrid.VCycle(assembly.assemble_hessian(problem, a_mg, steps), steps)
     assert len(vcycle.levels) > len(steps)  # algebraic levels below the base
     assert vcycle.sizes[len(steps)] == BASE_P1_DOFS_40
-    assert vcycle.coarse_inverse.shape[0] <= multigrid.MAX_COARSE_DOFS
+    assert len(vcycle.inverse_factor) <= multigrid.MAX_COARSE_DOFS
     assert report.converged
     assert report.preconditioner == {"kind": "multigrid", "levels": vcycle.sizes}
     _, a_jac, report_jac = _jacobi_solve(monkeypatch, mesh, 0, {1}, **source)
@@ -255,8 +268,10 @@ def test_indefinite_matrix_with_multigrid_raises_solver_error():
     )
     K = assembly.assemble_unit_stiffness(problem)
     A = (K - sp.diags(0.5 * K.diagonal())).tocsr()
+    levels = multigrid.hierarchy(problem.space)
+    coarse = multigrid.galerkin_operators(A, levels)
     with pytest.raises(solver.SolverError, match="not SPD"):
-        solver.solve_cg(A, np.ones(A.shape[0]), prolongations=multigrid.hierarchy(problem.space))
+        solver.solve_cg(A, np.ones(A.shape[0]), levels=levels, coarse=coarse)
 
 
 def _parsed_square_problem(n, order=1):
@@ -276,9 +291,7 @@ def _base_operator(case):
         A = assembly.assemble_hessian(problem, mf.zero_coefficients(problem.space))
     else:
         problem, A = _hessian("pm_toy", 2)
-    for P in multigrid.hierarchy(problem.space):
-        A = (P.T @ A @ P).tocsr()
-    return A
+    return galerkin_oracle(A, multigrid.hierarchy(problem.space))[-1]
 
 
 @pytest.mark.parametrize("case", ["parsed", "pm_toy"])
@@ -306,9 +319,7 @@ def test_aggregation_is_bit_identical_across_builds(case):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_vcycle_with_algebraic_levels_is_symmetric_positive_definite(order, monkeypatch):
     monkeypatch.setattr(multigrid, "MAX_COARSE_DOFS", 8)  # aggregate below the base
-    problem, A = _hessian("pm_toy", order)
-    steps = multigrid.hierarchy(problem.space)
-    vcycle = multigrid.VCycle(A, steps)
+    A, vcycle, steps = _vcycle("pm_toy", order)
     assert len(vcycle.levels) > len(steps)
     for A_level, weights, _, _ in vcycle.levels:
         assert _lambda_max(A_level, weights) < SMOOTHER_BOUND
@@ -358,9 +369,9 @@ def test_stalled_aggregation_over_the_coarse_cap_factors_no_dense_matrix(monkeyp
     factored = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
-    vcycle = multigrid.VCycle(A, ())
+    vcycle = multigrid.VCycle((A,), ())
     assert max(factored, default=0) <= multigrid.MAX_COARSE_DOFS
-    assert vcycle.coarse_inverse is None and vcycle.sizes == [n]
+    assert vcycle.inverse_factor is None and vcycle.sizes == [n]
     M = np.column_stack([vcycle(e) for e in np.eye(n)])
     assert np.max(np.abs(M - M.T)) <= SYMMETRY_TOL * np.max(np.abs(M))
     assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
@@ -368,3 +379,125 @@ def test_stalled_aggregation_over_the_coarse_cap_factors_no_dense_matrix(monkeyp
     x, info = cg(A, rhs, rtol=1e-12, M=LinearOperator(A.shape, matvec=vcycle))
     assert info == 0
     assert np.linalg.norm(rhs - A @ x) <= 1e-10 * np.linalg.norm(rhs)
+
+
+GALERKIN_TOL = 1e-13  # relative to the largest entry: element-built vs sparse product
+COARSE_SOLVE_TOL = 1e-13  # relative: factored vs dense inverse, and backward error
+
+
+def _galerkin_case(case):
+    """Problems whose hierarchies cover every kind of geometric step."""
+    if case == "pm_toy":  # P2 over two refinements, then P2 -> P1
+        return harness.problem_at_level(harness.pm_toy_benchmark(), 2, order=1)
+    if case == "manufactured":  # P4 over three refinements, then P4 -> P1
+        return harness.problem_at_level(harness.manufactured_benchmark(), 3, order=3)
+    if case == "parsed":  # no parent: the P2 -> P1 step alone
+        return _parsed_square_problem(16)
+    mesh = mf.generate_unit_square(1)  # six refinements: 4^6 > ELEMENT_BATCH children each
+    for _ in range(6):
+        mesh = mf.refine_uniform(mesh)
+    return assembly.Problem(
+        mesh=mesh, order=1, materials={1: mf.brauer_reference()},
+        dirichlet_tags=frozenset({1}), js_density={1: 3e5},
+    )
+
+
+@pytest.mark.parametrize("state", ["zero", "newton"])
+@pytest.mark.parametrize("case", ["pm_toy", "manufactured", "parsed", "deep"])
+def test_element_built_operators_match_the_sparse_product(case, state):
+    problem = _galerkin_case(case)
+    levels = multigrid.hierarchy(problem.space)
+    children = [len(level.tables) for level in levels]
+    if case == "deep":
+        assert problem.mesh.num_triangles == 8192
+        assert 4**6 > assembly.ELEMENT_BATCH and children == [4] * 6 + [1]
+    if case == "parsed":
+        assert children == [1]
+    coeffs = mf.zero_coefficients(problem.space)
+    if state == "newton":
+        coeffs = _newton_iterate(problem)
+    operators = assembly.assemble_hessian(problem, coeffs, levels)
+    assert operators[0].data.tobytes() == assembly.assemble_hessian(problem, coeffs).data.tobytes()
+    oracle = galerkin_oracle(operators[0], levels)
+    assert len(operators) == len(oracle) + 1
+    for got, want in zip(operators[1:], oracle):
+        assert got.shape == want.shape
+        # the deep case's base P1 space has no free dof
+        largest = np.abs(want.data).max(initial=0.0)
+        assert np.abs((got - want).data).max(initial=0.0) <= GALERKIN_TOL * largest
+
+
+@pytest.mark.parametrize("batch", [1, 7, 100])
+def test_coarse_operators_do_not_depend_on_the_element_batch(batch, monkeypatch):
+    mesh = mf.refine_uniform(mf.refine_uniform(mf.generate_unit_square(4)))
+    problem = assembly.Problem(
+        mesh=mesh, order=2, materials={1: mf.brauer_reference()}, dirichlet_tags=frozenset({1}),
+    )
+    levels = multigrid.hierarchy(problem.space)
+    coeffs = CoefficientVector(
+        problem.space, np.random.default_rng(3).normal(scale=0.1, size=problem.space.n_free)
+    )
+    whole = assembly.assemble_hessian(problem, coeffs, levels)
+    assert problem.mesh.num_triangles <= assembly.ELEMENT_BATCH
+    monkeypatch.setattr(assembly, "ELEMENT_BATCH", batch)  # rounded up to 16 fine elements
+    batched = assembly.assemble_hessian(problem, coeffs, levels)
+    for a, b in zip(whole, batched):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_newton_runs_the_sparse_galerkin_product_only_on_aggregation_levels(monkeypatch):
+    products = []
+    real = multigrid._galerkin
+
+    def counted(A, P, R):
+        products.append(P)
+        return real(A, P, R)
+
+    monkeypatch.setattr(multigrid, "_galerkin", counted)
+    refined = harness.problem_at_level(harness.pm_toy_benchmark(), 1, order=1)
+    _, report = solver.newton_solve(refined)
+    assert report.converged and len(report.preconditioner["levels"]) == 3
+    gamma, lip = refined.certified_bounds()
+    cfg = solver.NewtonConfig(max_iter=2)
+    solver.zarantonello_solve(refined, tau=gamma / lip**2, cfg=cfg)
+    assert products == []  # geometric levels only: every operator from element matrices
+
+    parsed = _parsed_square_problem(32)
+    levels = multigrid.hierarchy(parsed.space)
+    _, report = solver.newton_solve(parsed)
+    assert report.converged
+    algebraic = len(report.preconditioner["levels"]) - len(levels) - 1
+    assert algebraic > 0
+    assert len(products) == report.n_iterations * algebraic
+    assert not any(P is level.P for P in products for level in levels)
+
+
+@pytest.mark.parametrize("state", ["zero", "newton"])
+def test_factored_coarsest_solve_matches_the_dense_inverse(state):
+    problem = _galerkin_case("pm_toy")  # the benchmark's 361-row coarsest operator
+    levels = multigrid.hierarchy(problem.space)
+    coeffs = mf.zero_coefficients(problem.space)
+    if state == "newton":
+        coeffs = _newton_iterate(problem)
+    operators = assembly.assemble_hessian(problem, coeffs, levels)
+    vcycle = multigrid.VCycle(operators, levels)
+    A = operators[-1].toarray()
+    assert vcycle.sizes[-1] == len(A) == 361
+    F = vcycle.inverse_factor
+    assert np.array_equal(F, np.tril(F))
+    dense = np.linalg.inv(np.linalg.cholesky(A))  # the dense inverse of the same factor
+    want = dense.T @ dense
+    assert np.abs(F.T @ F - want).max() <= COARSE_SOLVE_TOL * np.abs(want).max()
+    r = np.random.default_rng(5).normal(size=len(A))
+    x = F.T @ (F @ r)  # the cycle's coarsest solve: backward stable
+    assert np.linalg.norm(A @ x - r) <= COARSE_SOLVE_TOL * np.linalg.norm(A, 2) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 37])
+def test_lower_inverse_inverts_a_cholesky_factor(n):
+    # sizes below, at and off a multiple of the block size
+    G = np.random.default_rng(n).normal(size=(n, n))
+    L = np.linalg.cholesky(G @ G.T + n * np.eye(n))
+    X = multigrid._lower_inverse(L)
+    assert np.array_equal(X, np.tril(X))
+    assert np.abs(X @ L - np.eye(n)).max() <= 1e-13

@@ -61,6 +61,7 @@ PHASES = (
     ("assembly", "assemble_residual"),
     ("assembly", "residual_scale"),
     ("assembly", "assemble_hessian"),
+    ("assembly", "_coarse_element_matrices"),
     ("multigrid", "hierarchy"),
     ("solver", "solve_cg"),
     ("multigrid", "VCycle"),

@@ -7,9 +7,10 @@ benchmark solves to decay exactly (``b <= a``). Whether they do can hang
 on the last few ulps of a step's energy. This script reruns the same four
 solves (same benchmarks, levels, degree and default ``NewtonConfig`` as
 ``tests/test_acceptance.py``) once unperturbed and once for each of N
-seeds, with every ``multigrid.VCycle.coarse_inverse`` multiplied entrywise
-by ``1 + 1e-15 (G + G^T)/2``, G standard normal from that seed. The
-perturbation keeps the coarsest solve symmetric and moves only rounding.
+seeds, with every ``multigrid.VCycle.inverse_factor`` (the inverse L^-1 of
+the coarsest operator's Cholesky factor) multiplied entrywise by
+``1 + 1e-15 G``, G standard normal from that seed. The coarsest solve
+L^-T (L^-1 r) stays symmetric, and the perturbation moves only rounding.
 
 For each benchmark it reports how many seeds made a recorded energy rise,
 which seeds those were, the largest rise in ulps of the energy it rose
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-#: Relative size of the symmetric perturbation of the coarsest inverse.
+#: Relative size of the perturbation of the coarsest inverse factor.
 NOISE = 1e-15
 
 #: (name, benchmark factory, level, degree): criterion 03's four solves.
@@ -53,16 +54,16 @@ def largest_rise_ulps(energies):
 
 
 def solve_energies(problem, rng):
-    """Recorded energies of a default Newton solve; noise on every coarse
-    inverse when `rng` is given."""
+    """Recorded energies of a default Newton solve; noise on every coarsest
+    inverse factor when `rng` is given."""
     from magfem import multigrid, solver
 
     real_init = multigrid.VCycle.__init__
 
-    def perturbed_init(self, matrix, prolongations):
-        real_init(self, matrix, prolongations)
-        g = rng.standard_normal(self.coarse_inverse.shape)
-        self.coarse_inverse = self.coarse_inverse * (1.0 + NOISE * 0.5 * (g + g.T))
+    def perturbed_init(self, operators, levels):
+        real_init(self, operators, levels)
+        g = rng.standard_normal(self.inverse_factor.shape)
+        self.inverse_factor = self.inverse_factor * (1.0 + NOISE * g)
 
     if rng is not None:
         multigrid.VCycle.__init__ = perturbed_init
