@@ -46,9 +46,6 @@ from .geometry import (
     OrientationError,
     affine_map,
     identity_map,
-    pullback_material,
-    pullback_source,
-    pushforward_b,
     quarter_annulus_map,
 )
 from .assembly import (

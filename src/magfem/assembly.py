@@ -49,6 +49,12 @@ class Problem:
     potential lives in Lagrange elements of degree k+1 and the default
     quadrature is exact to degree 2k.
 
+    A `domain_map` (`geometry.DomainMap`) poses the problem on the image of
+    the mesh under the map, with the laws and sources in physical
+    coordinates: the change of variables is folded into the tables below
+    (`_tables`), so no assembly calls the map, and only the energy reads
+    its determinant `jacobian`.
+
     Everything an assembly reads is tabulated once, at construction, into
     the read-only arrays below; nothing is assigned afterwards. The basis
     curls are stored element-major, so that every contraction with them is
@@ -65,11 +71,13 @@ class Problem:
     hs_field: object = None
     js_density: object = None
     quad_degree: int = None
+    domain_map: object = None
     space: femspace.FESpace = field(init=False)
     rule: object = field(init=False)
     points: np.ndarray = field(init=False)  # (ne, nq, 2) mapped quadrature points
     curls: np.ndarray = field(init=False)   # (ne, n_local, nq, 2) basis curls
     wq: np.ndarray = field(init=False)      # (ne, nq) weights times element areas
+    jacobian: np.ndarray = field(init=False)  # (ne, nq) the map's det F; None without a map
     region_rows: dict = field(init=False)   # {region tag: element indices}
     load: np.ndarray = field(init=False)    # (n_free,) the source's load vector
     slots: np.ndarray = field(init=False)   # (ne, n_local, n_local) CSR slot per local entry
@@ -93,15 +101,14 @@ class Problem:
             )
         rule = rule_for_degree(degree)
         space = femspace.build_space(mesh, self.order + 1, self.dirichlet_tags)
-        points = mapped_points(mesh, rule.points)
+        points, curls, wq, jacobian = _tables(space, rule, self.domain_map)
+        curls = np.ascontiguousarray(curls)
         ne, nq, _ = points.shape
         flat_points = points.reshape(ne * nq, 2)
         region_rows = {
             tag: np.nonzero(mesh.region_tag == tag)[0]
             for tag in sorted(mesh.region_tags_present())
         }
-        curls = np.ascontiguousarray(femspace.tabulate_curl(space, rule).transpose(0, 2, 1, 3))
-        wq = rule.weights[None, :] * space.element_areas[:, None]
         slots, indices, indptr = _csr_pattern(space)  # first: the source temporaries miss its peak
         cell = np.zeros(curls.shape[:2])
         if self.hs_field is not None:
@@ -118,9 +125,11 @@ class Problem:
         load = _free_sum(space, cell)
         for arr in (points, curls, wq, load, slots, indices, indptr, *region_rows.values()):
             arr.flags.writeable = False
+        if jacobian is not None:
+            jacobian.flags.writeable = False
         for name, value in (
             ("quad_degree", degree), ("rule", rule), ("space", space),
-            ("points", points), ("curls", curls), ("wq", wq),
+            ("points", points), ("curls", curls), ("wq", wq), ("jacobian", jacobian),
             ("region_rows", region_rows), ("load", load),
             ("slots", slots), ("indices", indices), ("indptr", indptr),
         ):
@@ -143,6 +152,34 @@ class Problem:
             gammas.append(law.gamma)
             lips.append(law.lipschitz)
         return min(gammas), max(lips)
+
+
+def _tables(space, rule, domain_map):
+    """Quadrature tables of `rule` on the space's mesh: (points, curls, wq, J).
+
+    The points (ne, nq, 2), the basis curls with element-major axes (ne,
+    n_local, nq, 2), not necessarily contiguous, and the weights times
+    element areas (ne, nq). With a domain map these are the physical
+    domain's, by the change of variables x -> phi(x) with F = D phi and
+    J = det F at the reference points: points phi(x), curls F Curl phi / J
+    (the Piola transform of the flux) and weights times J; J (ne, nq) is
+    returned too, and None without a map.
+    """
+    points = mapped_points(space.mesh, rule.points)
+    curls = femspace.tabulate_curl(space, rule).transpose(0, 2, 1, 3)
+    wq = rule.weights[None, :] * space.element_areas[:, None]
+    if domain_map is None:
+        return points, curls, wq, None
+    ne, nq, _ = points.shape
+    flat = points.reshape(ne * nq, 2)
+    F, J = domain_map.jacobians(flat)  # raises OrientationError where J <= 0
+    G = (F / J[:, None, None]).reshape(ne, 1, nq, 2, 2)
+    piola = np.empty(curls.shape)  # written per component: a 2x2 matmul per point is slow
+    for i in range(2):
+        piola[..., i] = G[..., i, 0] * curls[..., 0] + G[..., i, 1] * curls[..., 1]
+    points = np.asarray(domain_map.phi(flat), dtype=float).reshape(ne, nq, 2)
+    J = J.reshape(ne, nq)
+    return points, piola, wq * J, J
 
 
 def _csr_pattern(space):
@@ -228,6 +265,8 @@ def assemble_energy(problem, coeffs):
     if not np.isfinite(b).all():
         return np.nan
     w = _material_apply(problem, "w", b)  # (ne, nq)
+    if problem.jacobian is not None:
+        w *= problem.jacobian
     return float((w @ weights) @ areas) - float(problem.load @ coeffs.values)
 
 
@@ -366,17 +405,16 @@ def fields_at_quadrature(problem, *coeffs, rule=None):
 
     With `rule` given, tabulates on that rule (used for the over-integrated
     error norms) without keeping the tables; defaults to the problem's own
-    rule. Several coefficient vectors share one tabulation: the result is
-    x followed by b and h of each vector in turn.
+    rule. On a mapped problem, x, b and h are the physical ones. Several
+    coefficient vectors share one tabulation: the result is x followed by
+    b and h of each vector in turn.
     """
     if rule is None or rule.degree == problem.rule.degree:
-        pts = problem.points
-        bs = [curl_at_quadrature(problem, c) for c in coeffs]
+        pts, curls = problem.points, problem.curls
     else:
-        pts = mapped_points(problem.mesh, rule.points)
-        curls = femspace.tabulate_curl(problem.space, rule)
-        bs = [np.einsum("el,eqli->eqi", _local_coeffs(problem, c), curls) for c in coeffs]
+        pts, curls, _, _ = _tables(problem.space, rule, problem.domain_map)
     fields = [pts]
-    for b in bs:
+    for c in coeffs:
+        b = np.einsum("el,elqi->eqi", _local_coeffs(problem, c), curls)
         fields += [b, _material_apply(problem, "dw", b, pts)]
     return tuple(fields)

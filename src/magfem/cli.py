@@ -125,11 +125,7 @@ def read_problem_config(path, mesh_file=None):
     for name in parser.sections():
         if name.startswith("material."):
             region = int(name.split(".", 1)[1])
-            section = parser[name]
-            law = materials.build_law(section.get("law"), section)
-            if domain_map is not None:
-                law = geometry.pullback_material(domain_map, law)
-            laws[region] = law
+            laws[region] = materials.build_law(parser[name].get("law"), parser[name])
 
     hs_field = None
     js_density = None
@@ -137,8 +133,6 @@ def read_problem_config(path, mesh_file=None):
         s = parser["source"]
         form = s.get("form", "none")
         if form == "js":
-            if domain_map is not None:
-                raise ConfigError("js sources are not supported with a domain map; use hs")
             js_density = {
                 int(key.split(".", 1)[1]): _finite_float(s, key)
                 for key in s
@@ -149,12 +143,8 @@ def read_problem_config(path, mesh_file=None):
         elif form == "hs":
             vec = np.array([_finite_float(s, "hs_x", 0.0), _finite_float(s, "hs_y", 0.0)])
 
-            def constant_hs(x):
+            def hs_field(x):
                 return np.broadcast_to(vec, (len(np.atleast_2d(x)), 2)).copy()
-
-            hs_field = constant_hs
-            if domain_map is not None:
-                hs_field = geometry.pullback_source(domain_map, constant_hs)
         elif form != "none":
             raise ConfigError(f"unknown source form {form!r}")
 
@@ -165,6 +155,7 @@ def read_problem_config(path, mesh_file=None):
         dirichlet_tags=tags,
         hs_field=hs_field,
         js_density=js_density,
+        domain_map=domain_map,
     )
     return problem, read_newton_config(parser)
 

@@ -1,20 +1,20 @@
-"""Pull-back of problems on smoothly mapped domains to a reference domain.
+"""Analytic maps from a reference domain onto curved physical domains.
 
-A DomainMap phi takes the reference domain onto the physical one. With
-F = Dphi and J = det F > 0, scalar potentials pull back by composition,
-which induces the field transforms
+A DomainMap phi takes the reference domain onto the physical one, with
+F = Dphi and J = det F > 0. `assembly.Problem` takes one as its
+`domain_map` and folds the change of variables into its quadrature
+tables: points phi(x), weights times J, and basis curls by the Piola
+transform of the flux,
 
-    b'(x') = F(x) b(x) / J(x)        (flux, Piola)
-    h(x)   = F(x)^T h'(x')           (field strength)
-    w(x,b) = J(x) w'(x', F b / J)    (energy density)
+    b(phi(x)) = F(x) Curl a(x) / J(x),
 
-so that energies, variational identities, and monotonicity pairings on
-the physical domain coincide with their reference-domain counterparts.
-In 2D these follow from Curl a = (grad a) rotated and the 2x2 adjugate
-identity; this module fixes them as the normative transforms.
+so that material laws and sources are evaluated in physical coordinates
+and the discrete energy, its derivatives and the L2 errors are integrals
+over the physical domain. In 2D this transform follows from Curl a =
+(grad a) rotated and the 2x2 adjugate identity.
 
-Maps are analytic; meshes are never deformed, so quadrature on straight
-triangles stays exact.
+Maps are analytic and meshes are never deformed: quadrature runs on the
+straight triangles of the reference mesh.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .materials import MaterialLaw
 
 
 class OrientationError(ValueError):
@@ -114,78 +112,3 @@ def quarter_annulus_map(r_inner, r_outer):
 
 
 BUILTIN_MAPS = ("identity", "affine", "quarter_annulus")
-
-#: the 9 x 9 reference grid on which PulledBackLaw samples F for its bounds
-_GRID = np.linspace(0.0, 1.0, 9)
-BOUND_SAMPLES = np.column_stack([g.ravel() for g in np.meshgrid(_GRID, _GRID)])
-
-
-class PulledBackLaw(MaterialLaw):
-    """Reference-domain law equivalent to `law_phys` on the mapped domain."""
-
-    def __init__(self, domain_map, law_phys):
-        self.map = domain_map
-        self.phys = law_phys
-        F, J = domain_map.jacobians(BOUND_SAMPLES)
-        sv = np.linalg.svd(F, compute_uv=False)
-        scale_lo = float(np.min(sv[:, -1] ** 2 / J))
-        scale_hi = float(np.max(sv[:, 0] ** 2 / J))
-        if law_phys.gamma is not None:
-            self.gamma = law_phys.gamma * scale_lo
-        if law_phys.lipschitz is not None:
-            self.lipschitz = law_phys.lipschitz * scale_hi
-
-    def _transform(self, x, b):
-        F, J = self.map.jacobians(x)
-        xp = self.map.phi(_as_points(x))
-        bp = np.einsum("nij,nj->ni", F, np.asarray(b, dtype=float)) / J[:, None]
-        return F, J, xp, bp
-
-    def w(self, x, b):
-        F, J, xp, bp = self._transform(x, b)
-        return J * self.phys.w(xp, bp)
-
-    def dw(self, x, b):
-        F, J, xp, bp = self._transform(x, b)
-        return np.einsum("nji,nj->ni", F, self.phys.dw(xp, bp))
-
-    def d2w(self, x, b):
-        F, J, xp, bp = self._transform(x, b)
-        Hp = self.phys.d2w(xp, bp)
-        return np.einsum("nki,nkl,nlj->nij", F, Hp, F) / J[:, None, None]
-
-
-def pullback_material(domain_map, law_phys):
-    """Reference-domain law w(x, b) = J w'(phi(x), F b / J).
-
-    Its gradient is F^T dw' and its Hessian F^T d2w' F / J by the chain
-    rule. Declared convexity bounds are rescaled by the extremal singular
-    values of F over the reference points BOUND_SAMPLES (reported, not
-    assumed tight).
-    """
-    return PulledBackLaw(domain_map, law_phys)
-
-
-def pullback_source(domain_map, hs_phys):
-    """Reference-domain source h_s(x) = F(x)^T h_s'(phi(x))."""
-
-    def hs(x):
-        x = _as_points(x)
-        F, _ = domain_map.jacobians(x)
-        vals = np.asarray(hs_phys(domain_map.phi(x)), dtype=float)
-        return np.einsum("nji,nj->ni", F, vals)
-
-    return hs
-
-
-def pushforward_b(domain_map, x, b):
-    """Piola transform of the flux: b'(phi(x)) = F(x) b(x) / J(x)."""
-    x = _as_points(x)
-    b = np.asarray(b, dtype=float)
-    single = b.ndim == 1
-    if single:
-        b = b[None, :]
-    F, J = domain_map.jacobians(x)
-    out = np.einsum("nij,nj->ni", F, b) / J[:, None]
-    return out[0] if single else out
-

@@ -17,8 +17,7 @@ child c's reference nodes. `hierarchy` builds each `Level`'s tables and
 coarse sparsity pattern once per solve, and the assembly kernel sums the
 coarse element matrices batch by batch beside the fine ones
 (`assembly.assemble_hessian` with `levels`), so no sparse matrix product
-runs on the geometric levels. A caller holding only a matrix forms them
-with `galerkin_operators`.
+runs on the geometric levels.
 
 Below the base P1 space, while the operator has more than
 MAX_COARSE_DOFS rows, `VCycle` adds levels by smoothed aggregation
@@ -172,26 +171,6 @@ def hierarchy(space):
     return tuple(_level(f, c) for f, c in zip(spaces, spaces[1:]))
 
 
-def _galerkin(A, P, R):
-    """The Galerkin operator R A P of the CSR matrix A, as a sparse product."""
-    return R @ (A @ P)
-
-
-def galerkin_operators(matrix, levels):
-    """The Galerkin operators of the CSR `matrix` on `levels`, finest first.
-
-    For a caller that holds only the matrix: sparse products, as on the
-    aggregation levels. A Newton step gets the same operators from the
-    assembly kernel (`assembly.assemble_hessian` with `levels`).
-    """
-    operators = []
-    A = matrix
-    for level in levels:
-        A = _galerkin(A, level.P, level.R)
-        operators.append(A)
-    return tuple(operators)
-
-
 def _l1_row_sums(A):
     return np.add.reduceat(np.abs(A.data), A.indptr[:-1])  # no empty rows in an SPD matrix
 
@@ -287,15 +266,14 @@ class VCycle:
 
     `operators` are the finest operator and its Galerkin operators on the
     geometric `levels` of `hierarchy`, finest first (from the assembly
-    kernel, or `galerkin_operators`). Below the last one, smoothed-
-    aggregation levels follow while the operator has more than
-    MAX_COARSE_DOFS rows, with Galerkin products P^T A P. The coarsest
-    operator A = L L^T is solved exactly as L^-T (L^-1 r), with
-    `inverse_factor` = L^-1. Where aggregation stalls (no strong couplings
-    left) above MAX_COARSE_DOFS rows, no dense matrix is formed
-    (`inverse_factor` is None): that operator is smoothed as one more level,
-    whose coarsest "solve" is its own weighted-Jacobi step W r. W is SPD, so
-    the cycle stays SPD. Every operator must have a positive diagonal; a
+    kernel). Below the last one, smoothed-aggregation levels follow while
+    the operator has more than MAX_COARSE_DOFS rows, with Galerkin
+    products P^T A P. The coarsest operator A = L L^T is solved exactly as
+    L^-T (L^-1 r), with `inverse_factor` = L^-1. Where aggregation stalls
+    (no strong couplings left) above MAX_COARSE_DOFS rows, no dense matrix
+    is formed (`inverse_factor` is None): that operator is smoothed as one
+    more level, whose coarsest "solve" is its own weighted-Jacobi step W r.
+    W is SPD, so the cycle stays SPD. Every operator must have a positive diagonal; a
     coarsest operator that is not positive definite raises
     np.linalg.LinAlgError.
     """
@@ -314,7 +292,7 @@ class VCycle:
                 break  # no strong couplings left to aggregate
             R = P.T.tocsr()
             self.levels.append((A, _smoother_weights(A), P, R))
-            A = _galerkin(A, P, R)
+            A = R @ (A @ P)
         if A.shape[0] > MAX_COARSE_DOFS:
             # aggregation stalled: smooth this operator as one more level, with
             # no coarser one below it

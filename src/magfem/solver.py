@@ -215,9 +215,9 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
 
     The preconditioner is a multigrid V-cycle over the geometric `levels`
     (from `multigrid.hierarchy`), whose Galerkin operators of `matrix` are
-    `coarse` (from `assembly.assemble_hessian` with those levels, or
-    `multigrid.galerkin_operators`), and the algebraic levels
-    `multigrid.VCycle` adds below them; or Jacobi when there are no levels.
+    `coarse` (from `assembly.assemble_hessian` with those levels), and the
+    algebraic levels `multigrid.VCycle` adds below them; or Jacobi when
+    there are no levels.
     CGInfo names the preconditioner and the rows of its levels.
 
     Iterates until the recursive residual satisfies

@@ -18,9 +18,10 @@ from scipy.special import roots_jacobi, roots_legendre
 
 import magfem as mf
 from magfem import assembly
-from magfem.femspace import _physical_curls, _shape_gradients, _shape_values
+from magfem.femspace import _physical_curls, _shape_gradients, _shape_values, tabulate_curl
 from magfem.harness import ANNULUS_MATRIX, ANNULUS_R_INNER, ANNULUS_R_OUTER, Benchmark
 from magfem.materials import MaterialLaw, _as_points
+from magfem.quadrature import mapped_points
 
 
 def conical_rule(n):
@@ -111,6 +112,21 @@ def integrate_against_curls(curls, g, magnitude=False):
         c = np.abs(curls[:, :, q]) if magnitude else curls[:, :, q]
         cell += g[:, q, None, 0] * c[..., 0] + g[:, q, None, 1] * c[..., 1]
     return cell
+
+
+def piola_curls(problem, rule):
+    """Oracle for a Problem's basis curls on `rule`; (ne, nq, nl, 2).
+
+    The reference curls of `tabulate_curl`, and on a mapped problem their
+    Piola transform F Curl phi / J, point by point from the map's F and J
+    at the reference points.
+    """
+    curls = tabulate_curl(problem.space, rule)
+    if problem.domain_map is None:
+        return curls
+    ne, nq = curls.shape[:2]
+    F, J = problem.domain_map.jacobians(mapped_points(problem.mesh, rule.points).reshape(-1, 2))
+    return np.einsum("eqij,eqlj->eqli", F.reshape(ne, nq, 2, 2), curls) / J.reshape(ne, nq, 1, 1)
 
 
 def galerkin_oracle(matrix, levels):
@@ -208,9 +224,10 @@ class SpatialLinearLaw(MaterialLaw):
 def annulus_direct_benchmark(base_n=6, order=1, levels=3):
     """Hand-derived reference-square formulation of the annulus problem.
 
-    The composed coefficient N(x) = F^T N' F / J and source F^T h_s' are
-    written out from the polar map's Jacobian, independently of the
-    generic pull-back machinery, to cross-check it end to end.
+    The pulled-back coefficient N(x) = F^T N' F / J and source F^T h_s' are
+    written out from the polar map's Jacobian on the unmapped unit square,
+    independently of `Problem`'s domain map, to cross-check it end to end:
+    both have the same space, and the same discrete solution up to rounding.
     """
     dr = ANNULUS_R_OUTER - ANNULUS_R_INNER
     half_pi = 0.5 * np.pi

@@ -17,7 +17,7 @@ from magfem import assembly
 from magfem.femspace import CoefficientVector, build_space, tabulate_curl, tabulate_values
 from magfem.materials import NU0
 
-from conftest import integrate_against_curls, rng
+from conftest import integrate_against_curls, piola_curls, rng
 
 BRAUER_W0 = 3.8 / (2 * 2.17)  # profile value at zero field
 
@@ -222,7 +222,7 @@ def test_assembled_matrix_deterministic(brauer_law):
 def _reference_operator(problem, nu_d):
     """The four-operand einsum and a COO-to-CSR scatter of the element matrices."""
     space = problem.space
-    curls = tabulate_curl(space, problem.rule)  # (ne, nq, nl, 2)
+    curls = piola_curls(problem, problem.rule)  # (ne, nq, nl, 2)
     cell = np.einsum("eq,eqli,eqij,eqmj->elm", problem.wq, curls, nu_d, curls)
     nl = space.n_local
     free = space.free_index[space.conn]
@@ -242,7 +242,7 @@ def _kernel_problem(case, order, brauer_law):
         return _problem(brauer_law, n=3, order=order)
     if case == "pm_toy":  # several regions, magnets
         return problem_at_level(pm_toy_benchmark(), 0, order=order)
-    if case == "annulus":  # PulledBackLaw: anisotropic d2w
+    if case == "annulus":  # a domain map and an anisotropic d2w
         return problem_at_level(annulus_mapped_benchmark(base_n=3), 0, order=order)
     return Problem(  # no constrained dof
         mesh=mf.generate_unit_square(3),
@@ -258,7 +258,7 @@ def test_operators_match_einsum_scatter_reference(case, order, brauer_law):
     problem = _kernel_problem(case, order, brauer_law)
     coeffs = _random_coeffs(problem, scale=0.1, seed=order)
     local = coeffs.full()[problem.space.conn]
-    b = np.einsum("el,eqli->eqi", local, tabulate_curl(problem.space, problem.rule))
+    b = np.einsum("el,eqli->eqi", local, piola_curls(problem, problem.rule))
     nu_d = assembly._material_apply(problem, "d2w", b)
     ne, nq = problem.wq.shape
     for mat, ref in (
@@ -566,7 +566,8 @@ def _sampled_energy_and_residual(problem, coeffs):
     """Reference energy and residual that sample the source on every call.
 
     h_s enters the integrand of both; j_s is integrated against the basis
-    values. No load vector is used.
+    values. No load vector is used. On a mapped problem both energy
+    integrands carry the map's J.
     """
     ne, nq, _ = problem.points.shape
     flat = problem.points.reshape(-1, 2)
@@ -586,11 +587,12 @@ def _sampled_energy_and_residual(problem, coeffs):
     if hs is not None:
         integrand = integrand - np.sum(hs * b, axis=2)
         h = h - hs
-    energy = float((integrand @ weights) @ areas)
+    jac = 1.0 if problem.jacobian is None else problem.jacobian
+    energy = float(((jac * integrand) @ weights) @ areas)
     cell = integrate_against_curls(problem.curls, problem.wq[..., None] * h)
     if js is not None:
         a_vals = coeffs.full()[problem.space.conn] @ values.T
-        energy -= float(((js * a_vals) @ weights) @ areas)
+        energy -= float(((jac * js * a_vals) @ weights) @ areas)
         cell -= np.einsum("eq,eq,ql->el", problem.wq, js, values)
     return energy, assembly._free_sum(problem.space, cell)
 

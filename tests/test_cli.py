@@ -401,12 +401,18 @@ def test_mesh_refine_empty_mesh_file_is_io_error(tmp_path, capsys):
     assert "mesh has no triangles" in capsys.readouterr().err
 
 
-def test_js_with_map_rejected(tmp_path):
+def test_js_source_with_map_solves(tmp_path):
+    # the map folds into the quadrature weights, so a current density is
+    # integrated over the physical domain like a source field
     cfg_text = ANNULUS_CONFIG.replace(
         "form = hs\nhs_x = 0.0\nhs_y = 1.0", "form = js\nregion.1 = 10.0"
     )
-    cfg = _write(tmp_path, "bad.ini", cfg_text)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
+    assert "form = js" in cfg_text
+    cfg = _write(tmp_path, "js.ini", cfg_text)
+    out = tmp_path / "t.json"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["converged"] and doc["n_iterations"] == 1
 
 
 def test_material_check_missing_required_param_names_it(capsys):

@@ -132,6 +132,17 @@ def test_annulus_study_smoke():
     assert all(r.iter == 1 for r in rows)  # quadratic energy: one step per solve
 
 
+def test_annulus_certifies_the_physical_law_exactly():
+    # the map folds into the tables, so the certified constants are the
+    # eigenvalues (5 -+ sqrt 5) / 2 of the physical reluctivity matrix
+    problem = problem_at_level(annulus_mapped_benchmark(), 0)
+    _, report = mf.newton_solve(problem)
+    gamma, lip = problem.certified_bounds()
+    assert gamma == pytest.approx((5.0 - np.sqrt(5.0)) / 2.0, rel=1e-14)
+    assert lip == pytest.approx((5.0 + np.sqrt(5.0)) / 2.0, rel=1e-14)
+    assert (report.gamma, report.lipschitz) == (gamma, lip)
+
+
 def test_parent_evaluation_exact_on_unstructured_mesh():
     # the coarse-on-fine evaluation used by refinement errors must be exact
     # for representable fields, also away from structured grids
@@ -264,8 +275,8 @@ def test_reference_refinement_error_monotonicity():
         coarse_p.space, coarse_c, np.repeat(idx, nq), ref.reshape(-1, 2)
     ).reshape(ne, nq, 2)
     _, b_fine, _ = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
-    num = harness._l2_norm(fine_p.mesh, rule, b_coarse - b_fine)
-    den = harness._l2_norm(fine_p.mesh, rule, b_fine)
+    num = harness._l2_norm(fine_p, rule, b_coarse - b_fine)
+    den = harness._l2_norm(fine_p, rule, b_fine)
     e02 = num / den
     assert e01 <= 1.05 * e02
 
@@ -291,7 +302,7 @@ def test_refinement_errors_tabulate_the_fine_level_once(monkeypatch):
     on_fine = mf.CoefficientVector(fine_p.space, P @ coarse_c.values)
     _, *coarse = assembly.fields_at_quadrature(fine_p, on_fine, rule=rule)
     _, *fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
-    assert got == harness._relative_errors(fine_p.mesh, rule, coarse, fine)
+    assert got == harness._relative_errors(fine_p, rule, coarse, fine)
 
 
 def test_study_abort_carries_partial_rows():
@@ -428,12 +439,14 @@ def test_telemetry_files_written(tmp_path):
 def test_annulus_benchmarks_match():
     import magfem.assembly as assembly
 
+    # the same discrete problem, on the same space: both coefficient vectors
+    # are evaluated on the hand-derived one
     pa = problem_at_level(annulus_mapped_benchmark(), 1)
     pd = problem_at_level(annulus_direct_benchmark(), 1)
+    assert np.abs(pa.load - pd.load).max() <= 1e-13 * np.abs(pd.load).max()
     ca, _ = mf.newton_solve(pa)
     cd, _ = mf.newton_solve(pd)
-    _, ba, _ = assembly.fields_at_quadrature(pa, ca)
-    _, bd, _ = assembly.fields_at_quadrature(pd, cd)
-    num = harness._l2_norm(pa.mesh, pa.rule, ba - bd)
-    den = harness._l2_norm(pa.mesh, pa.rule, bd)
+    _, ba, _, bd, _ = assembly.fields_at_quadrature(pd, ca, cd)
+    num = harness._l2_norm(pd, pd.rule, ba - bd)
+    den = harness._l2_norm(pd, pd.rule, bd)
     assert num / den <= 1e-10

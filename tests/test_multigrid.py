@@ -269,7 +269,7 @@ def test_indefinite_matrix_with_multigrid_raises_solver_error():
     K = assembly.assemble_unit_stiffness(problem)
     A = (K - sp.diags(0.5 * K.diagonal())).tocsr()
     levels = multigrid.hierarchy(problem.space)
-    coarse = multigrid.galerkin_operators(A, levels)
+    coarse = galerkin_oracle(A, levels)
     with pytest.raises(solver.SolverError, match="not SPD"):
         solver.solve_cg(A, np.ones(A.shape[0]), levels=levels, coarse=coarse)
 
@@ -446,14 +446,17 @@ def test_coarse_operators_do_not_depend_on_the_element_batch(batch, monkeypatch)
 
 
 def test_newton_runs_the_sparse_galerkin_product_only_on_aggregation_levels(monkeypatch):
+    # VCycle's only sparse product R (A P) forms each aggregation level's
+    # operator, so counting the aggregation prolongators counts the products
     products = []
-    real = multigrid._galerkin
+    real = multigrid.aggregation_prolongation
 
-    def counted(A, P, R):
+    def counted(A):
+        P = real(A)
         products.append(P)
-        return real(A, P, R)
+        return P
 
-    monkeypatch.setattr(multigrid, "_galerkin", counted)
+    monkeypatch.setattr(multigrid, "aggregation_prolongation", counted)
     refined = harness.problem_at_level(harness.pm_toy_benchmark(), 1, order=1)
     _, report = solver.newton_solve(refined)
     assert report.converged and len(report.preconditioner["levels"]) == 3

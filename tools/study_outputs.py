@@ -18,6 +18,9 @@ Runs ``magfem`` in-process from the source tree ``--src`` and writes into
 * ``singular.json`` from ``solve`` with the config ``singular.ini``: no
   Dirichlet boundary, so the potential is fixed only up to a constant
   and the Newton Hessian is singular;
+* ``mapped.json`` and ``mapped_fields.csv`` from ``solve --fields`` with
+  the config ``mapped.ini``: the singular problem's iron and source on the
+  quarter annulus, the image of a generated mesh under a ``[map]``;
 * one ``material-check`` per law kind, whose output is in the log;
 * ``log.txt``: every command with its exit code and standard output.
 
@@ -101,6 +104,17 @@ hs_y = 300.0
 """
 
 
+#: The singular problem on a quarter annulus: with no Dirichlet boundary the
+#: constant source field loads the potential, and the fields CSV holds the
+#: mapped points and fields.
+MAPPED_CONFIG = SINGULAR_CONFIG + """
+[map]
+name = quarter_annulus
+r_inner = 0.5
+r_outer = 1.0
+"""
+
+
 def commands():
     """Every magfem argv, in the order they run."""
     for name in BENCHMARKS:
@@ -116,6 +130,8 @@ def commands():
     yield ["solve", "--config", "linear.ini", "--mesh", "fine.mesh",
            "--out", "linear.json", "--fields", "linear_fields.csv"]
     yield ["solve", "--config", "singular.ini", "--out", "singular.json"]
+    yield ["solve", "--config", "mapped.ini", "--out", "mapped.json",
+           "--fields", "mapped_fields.csv"]
     for check in MATERIAL_CHECKS:
         yield ["material-check", "--material", *check]
 
@@ -136,6 +152,7 @@ def main(argv=None):
     Path("run.ini").write_text(SOLVE_CONFIG)
     Path("linear.ini").write_text(LINEAR_CONFIG)
     Path("singular.ini").write_text(SINGULAR_CONFIG)
+    Path("mapped.ini").write_text(MAPPED_CONFIG)
     log = []
     for argv_ in commands():
         stdout = io.StringIO()
