@@ -19,15 +19,12 @@ from .mesh import (
 from .quadrature import (
     QuadratureRule,
     UnsupportedDegreeError,
-    discrete_inner_product,
     rule_for_degree,
 )
 from .femspace import (
-    BoundaryCompatibilityError,
     CoefficientVector,
     FESpace,
     build_space,
-    interpolate,
     zero_coefficients,
 )
 from .materials import (
@@ -65,13 +62,8 @@ from .solver import (
     NewtonConfig,
     NewtonReport,
     SolverError,
-    TailDiagnostic,
     newton_solve,
-    quadratic_tail_diagnostic,
-    run_newton_with_history,
     solve_cg,
-    zarantonello_contraction,
-    zarantonello_solve,
 )
 from .harness import (
     Benchmark,

@@ -315,14 +315,12 @@ def assemble_hessian(problem, coeffs, levels=None):
     return operators if levels is not None else operators[0]
 
 
-def assemble_unit_stiffness(problem, levels=None):
+def assemble_unit_stiffness(problem):
     """Stiffness matrix for unit reluctivity, <Curl phi_j, Curl phi_i>_h.
 
-    The fixed-point iteration's preconditioner; built afresh on each call.
-    `levels` as in `assemble_hessian`.
+    Built afresh on each call.
     """
-    operators = _scatter_matrix(problem, problem.wq[..., None, None] * np.eye(2), levels or ())
-    return operators if levels is not None else operators[0]
+    return _scatter_matrix(problem, problem.wq[..., None, None] * np.eye(2), ())[0]
 
 
 def _scatter_matrix(problem, t, levels):

@@ -50,20 +50,23 @@ def _build_map(section):
         return geometry.identity_map()
     if name == "affine":
         matrix = [
-            [section.getfloat("a11"), section.getfloat("a12", 0.0)],
-            [section.getfloat("a21", 0.0), section.getfloat("a22")],
+            [_finite_float(section, "a11"), _finite_float(section, "a12", 0.0)],
+            [_finite_float(section, "a21", 0.0), _finite_float(section, "a22")],
         ]
-        shift = (section.getfloat("shift_x", 0.0), section.getfloat("shift_y", 0.0))
+        shift = (_finite_float(section, "shift_x", 0.0), _finite_float(section, "shift_y", 0.0))
         return geometry.affine_map(matrix, shift)
     if name == "quarter_annulus":
         return geometry.quarter_annulus_map(
-            section.getfloat("r_inner"), section.getfloat("r_outer")
+            _finite_float(section, "r_inner"), _finite_float(section, "r_outer")
         )
     raise ConfigError(f"unknown map {name!r}; choose from {geometry.BUILTIN_MAPS}")
 
 
 def _finite_float(section, key, default=None):
+    """The finite number at `key`, or `default`; without one the key is required."""
     value = section.getfloat(key, default)
+    if value is None:
+        raise ConfigError(f"[{section.name}] needs {key}")
     if not np.isfinite(value):
         raise ConfigError(f"[{section.name}] {key} must be finite, got {value}")
     return value
@@ -83,7 +86,7 @@ def read_newton_config(parser):
         if unknown:
             raise ConfigError(f"[newton] unknown key {', '.join(unknown)}")
         cg = solver.CGConfig(
-            rel_tol=s.getfloat("cg_rel_tol", 1e-12),
+            rel_tol=s.getfloat("cg_rel_tol", cfg.cg.rel_tol),
             max_iter=s.getint("cg_max_iter", None) if s.get("cg_max_iter") else None,
         )
         cfg = solver.NewtonConfig(
@@ -258,7 +261,7 @@ def _cmd_material_check(args):
         )
         print(f"gamma = {law.gamma:.12g} (scan {gamma_hat:.12g})")
         print(f"L     = {law.lipschitz:.12g} (scan {l_hat:.12g})")
-        print(f"L''   = {law.hess_lipschitz:.6g} (pair scan {l2_hat:.6g})")
+        print(f"L''   = {law.hess_lipschitz:.6g} (sampled estimate; pair scan {l2_hat:.6g})")
         return EXIT_OK
 
     print(f"gamma = {law.gamma:.12g}")

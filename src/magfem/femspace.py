@@ -23,13 +23,6 @@ from .quadrature import mapped_points
 
 MAX_SPACE_DEGREE = 4
 
-BOUNDARY_COMPATIBILITY_TOL = 1e-10
-
-
-class BoundaryCompatibilityError(ValueError):
-    """Interpolated function does not vanish on the Dirichlet boundary."""
-
-
 # -- reference element -------------------------------------------------------
 
 
@@ -279,25 +272,3 @@ def eval_curl_batch(space, coeffs, elements, points):
     curl = _physical_curls(space.element_inverse[elements][:, None], grads)
     local = coeffs.full()[space.conn[elements]]  # (n, n_local)
     return np.einsum("nl,nli->ni", local, curl)
-
-
-def interpolate(space, f):
-    """Nodal interpolant of a point-function.
-
-    f maps an (n, 2) coordinate array to (n,) values; it must vanish (to
-    within 1e-10, scaled) at constrained dof nodes, otherwise a
-    BoundaryCompatibilityError is raised instead of silently projecting.
-    Polynomials of total degree <= p are reproduced exactly.
-    """
-    values = np.asarray(f(space.dof_coords), dtype=float)
-    if values.shape != (space.num_dofs,):
-        raise ValueError("interpolated function must return one value per dof node")
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    bad = space.constrained & (np.abs(values) > BOUNDARY_COMPATIBILITY_TOL * scale)
-    if np.any(bad):
-        worst = int(np.argmax(np.abs(values) * bad))
-        raise BoundaryCompatibilityError(
-            f"function does not vanish on the Dirichlet boundary: value "
-            f"{values[worst]:.3e} at node {worst} {space.dof_coords[worst]}"
-        )
-    return CoefficientVector(space, values[~space.constrained])

@@ -5,7 +5,8 @@ w (J/m^3), its gradient h = dw/db (A/m, the magnetic field), and the
 symmetric 2x2 second derivative d2w/db2 (the differential reluctivity,
 m/H). Laws declare convexity bounds gamma <= eig(d2w) <= lipschitz that
 the solver's convergence diagnostics rely on, plus an optional Lipschitz
-constant of the second derivative (hess_lipschitz).
+constant of the second derivative (hess_lipschitz; `BrauerLaw`'s is a
+sampled estimate, not a certified bound, and no solver bound uses it).
 
 Every linear material (isotropic, anisotropic or permanently magnetized)
 is one `LinearLaw`. The nonlinear `BrauerLaw` is isotropic, defined by a
@@ -185,9 +186,10 @@ class BrauerLaw(MaterialLaw):
 
     The differential reluctivity rises from k1 + k3 at b = 0 to nu0 at the
     threshold and stays there, so gamma = k1 + k3 and lipschitz = nu0 are
-    exact bounds. The second-derivative Lipschitz constant is certified by
-    a finite-difference scan over a radial grid (the profile's third
-    derivative vanishes above the threshold).
+    exact bounds. The second-derivative Lipschitz constant is a sampled
+    estimate: the largest difference quotient of wt'' on a radial grid up
+    to the threshold (the profile's third derivative vanishes above it),
+    which can fall short of the true constant but not exceed it.
     """
 
     def __init__(self, params):

@@ -145,27 +145,3 @@ def mapped_points(mesh, points):
         + x[None, :, None] * d1[:, None, :]
         + y[None, :, None] * d2[:, None, :]
     )
-
-
-def discrete_inner_product(mesh, rule, u, v):
-    """<u, v>_h over the mesh; u, v map (n, 2) points to (n,) or (n, 2).
-
-    Scalar-valued functions are multiplied pointwise, vector-valued ones
-    are contracted with the Euclidean dot product. The reduction order is
-    fixed (element-major) so results are reproducible.
-    """
-    pts = mapped_points(mesh, rule.points)
-    ne, nq, _ = pts.shape
-    flat = pts.reshape(ne * nq, 2)
-    uu = np.asarray(u(flat), dtype=float)
-    vv = np.asarray(v(flat), dtype=float)
-    if uu.ndim == 1 and vv.ndim == 1:
-        prod = uu * vv
-    elif uu.ndim == 2 and vv.ndim == 2:
-        prod = np.sum(uu * vv, axis=1)
-    else:
-        raise ValueError("u and v must both be scalar-valued or both vector-valued")
-    prod = prod.reshape(ne, nq)
-    areas = np.abs(mesh.signed_areas())
-    per_element = prod @ rule.weights
-    return float(np.dot(per_element, areas))

@@ -1,4 +1,4 @@
-"""Damped Newton with Armijo backtracking, plus the fixed-point reference.
+"""Damped Newton with Armijo backtracking and multigrid-preconditioned CG.
 
 The outer iteration minimizes the discrete magnetic energy. Each step
 solves the symmetric positive definite Newton system with preconditioned
@@ -53,7 +53,6 @@ Newton then takes the constants out of each right-hand side
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
@@ -121,7 +120,7 @@ class IterationRecord:
     residual_norm: float
     tau: float
     backtracks: int
-    accepted_by: str  # "armijo", "derivative", or "full" (fixed point, no line search)
+    accepted_by: str  # "armijo" or "derivative": the test that accepted the step
     increment_norm: float
     cg_rel_tol: float
     cg_iters: int
@@ -151,7 +150,7 @@ class IterationRecord:
 
 @dataclass
 class NewtonReport:
-    """Per-iteration telemetry of a Newton (or fixed-point) solve."""
+    """Per-iteration telemetry of a Newton solve."""
 
     iterations: list
     converged: bool
@@ -161,7 +160,6 @@ class NewtonReport:
     lipschitz: float = None
     q_bound: float = None  # certified for exact inner solves only (module docstring)
     tau_floor: float = None
-    contraction_ratios: list = None
     failure: str = None
     preconditioner: dict = None  # CGInfo.describe() of the first inner solve
 
@@ -190,8 +188,6 @@ class NewtonReport:
             "n_iterations": self.n_iterations,
             "preconditioner": self.preconditioner,
         }
-        if self.contraction_ratios is not None:
-            doc["contraction_ratios"] = self.contraction_ratios
         if self.failure is not None:
             doc["failure"] = self.failure
         return json.dumps(doc, indent=indent)
@@ -481,146 +477,3 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         **_certified(problem, cfg),
     )
     return CoefficientVector(space, vec), report
-
-
-def zarantonello_solve(problem, tau, a0=None, cfg=NewtonConfig()):
-    """Damped fixed-point iteration preconditioned by the unit stiffness.
-
-    Each step solves K delta = -tau r(a) and accepts the full update; the
-    map is contractive with factor sqrt(1 - 2 tau gamma + tau^2 L^2) for
-    0 < tau < 2 gamma / L^2. Contraction of tau against certified bounds
-    is advisory: out-of-range values are run anyway.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    space = problem.space
-    a = zero_coefficients(space) if a0 is None else a0
-    vec = a.values.copy()
-    levels = multigrid.hierarchy(space)
-    K, *coarse = assembly.assemble_unit_stiffness(problem, levels)
-    certified = _certified(problem, cfg)
-    tau_max = 2.0 * certified["gamma"] / certified["lipschitz"] ** 2 if certified else np.inf
-    if tau >= tau_max:
-        warnings.warn(
-            f"step size tau = {tau:g} is outside the certified contraction range "
-            f"(0, {tau_max:g}); the iteration may not converge",
-            stacklevel=2,
-        )
-
-    records = []
-    preconditioner = None
-    ratios = []
-    converged = False
-    failure = None
-    prev_inc = None
-    inc_ref = None
-    for n in range(cfg.max_iter):
-        coeffs = CoefficientVector(space, vec)
-        res = assembly.assemble_residual(problem, coeffs)
-        energy = assembly.assemble_energy(problem, coeffs)
-        delta, cg_info = solve_cg(K, -tau * res, cfg.cg, levels=levels, coarse=coarse)
-        preconditioner = preconditioner or cg_info.describe()
-        inc_norm = float(np.sqrt(max(delta @ (K @ delta), 0.0)))
-        records.append(
-            IterationRecord.of_step(
-                n, energy, float(np.linalg.norm(res)), tau, 0, "full", inc_norm, cfg.cg.rel_tol,
-                cg_info,
-            )
-        )
-        if prev_inc is not None and prev_inc > 0.0:
-            ratios.append(inc_norm / prev_inc)
-        prev_inc = inc_norm
-        vec = vec + delta
-        if inc_ref is None and inc_norm > 0.0:
-            inc_ref = inc_norm
-        if inc_norm <= cfg.tol_increment * (inc_ref or 0.0):
-            converged = True
-            break
-    else:
-        failure = "max_iter"
-
-    coeffs = CoefficientVector(space, vec)
-    res = assembly.assemble_residual(problem, coeffs)
-    report = NewtonReport(
-        iterations=records,
-        converged=converged,
-        final_energy=assembly.assemble_energy(problem, coeffs),
-        final_residual_norm=float(np.linalg.norm(res)),
-        contraction_ratios=ratios,
-        failure=failure,
-        preconditioner=preconditioner,
-        **certified,
-    )
-    return coeffs, report
-
-
-def zarantonello_contraction(tau, gamma, lipschitz):
-    """Contraction factor sqrt(1 - 2 tau gamma + tau^2 L^2)."""
-    return float(np.sqrt(max(1.0 - 2.0 * tau * gamma + tau**2 * lipschitz**2, 0.0)))
-
-
-@dataclass
-class TailDiagnostic:
-    """Quadratic-tail summary relative to a reference solution."""
-
-    errors: list                 # e_n = ||Curl(a^n - a_ref)|| per recorded iterate
-    full_step_start: int         # first iteration index from which tau = 1 onward
-    ratios: list                 # e_{n+1} / e_n^2 over the full-step tail
-    valid_ratios: list           # ratios with both errors above the noise floor
-    m_hat: float                 # max of valid ratios (inf if none)
-    stable_within: float         # max/min over the last <= 3 valid ratios
-    sufficient: bool             # at least 3 tail iterations observed
-
-
-def quadratic_tail_diagnostic(report, iterate_history, reference, problem, noise_floor=None):
-    """Measure the quadratic convergence tail of a Newton run.
-
-    iterate_history must contain the free-dof vectors of the recorded
-    iterates (see run_newton_with_history); errors are curl norms against
-    `reference`, a higher-accuracy solution of the same problem. Ratios
-    e_{n+1}/e_n^2 are reported from the first all-full-step iteration
-    onward; ratios are marked valid when both errors sit above the noise
-    floor (default: 100 eps times the reference curl norm), which keeps
-    rounding-dominated final iterates out of the constant estimate.
-    """
-    ref = reference.values
-    scale = assembly.curl_norm(problem, ref)
-    if noise_floor is None:
-        noise_floor = 100.0 * np.finfo(float).eps * max(scale, 1.0)
-    errors = [assembly.curl_norm(problem, vec - ref) for vec in iterate_history]
-
-    taus = [rec.tau for rec in report.iterations]
-    start = len(taus)
-    for i in range(len(taus) - 1, -1, -1):
-        if taus[i] == 1.0 and report.iterations[i].backtracks == 0:
-            start = i
-        else:
-            break
-    ratios = []
-    valid = []
-    for i in range(start, len(errors) - 1):
-        if errors[i] <= 0.0:
-            continue
-        ratio = errors[i + 1] / errors[i] ** 2
-        ratios.append(ratio)
-        if errors[i] > noise_floor and errors[i + 1] > noise_floor:
-            valid.append(ratio)
-    tail = valid[-3:]
-    m_hat = max(valid) if valid else float("inf")
-    stable = max(tail) / min(tail) if len(tail) >= 2 and min(tail) > 0 else float("inf")
-    return TailDiagnostic(
-        errors=errors,
-        full_step_start=start,
-        ratios=ratios,
-        valid_ratios=valid,
-        m_hat=m_hat,
-        stable_within=stable,
-        sufficient=(len(errors) - 1 - start) >= 3,
-    )
-
-
-def run_newton_with_history(problem, a0=None, cfg=NewtonConfig()):
-    """newton_solve plus the list of iterate dof vectors (a0 included)."""
-    history = []
-    coeffs, report = newton_solve(problem, a0, cfg, history=history)
-    return coeffs, report, history

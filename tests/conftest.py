@@ -10,6 +10,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import warnings  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
 from math import factorial  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -17,8 +19,15 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 import magfem as mf
-from magfem import assembly
-from magfem.femspace import _physical_curls, _shape_gradients, _shape_values, tabulate_curl
+from magfem import assembly, multigrid, solver
+from magfem.femspace import (
+    CoefficientVector,
+    _physical_curls,
+    _shape_gradients,
+    _shape_values,
+    tabulate_curl,
+    zero_coefficients,
+)
 from magfem.harness import ANNULUS_MATRIX, ANNULUS_R_INNER, ANNULUS_R_OUTER, Benchmark
 from magfem.materials import MaterialLaw, _as_points
 from magfem.quadrature import mapped_points
@@ -142,6 +151,216 @@ def galerkin_oracle(matrix, levels):
         A = (level.P.T @ (A @ level.P)).tocsr()
         operators.append(A)
     return operators
+
+
+BOUNDARY_COMPATIBILITY_TOL = 1e-10
+
+
+class BoundaryCompatibilityError(ValueError):
+    """Interpolated function does not vanish on the Dirichlet boundary."""
+
+
+def interpolate(space, f):
+    """Nodal interpolant of a point-function.
+
+    f maps an (n, 2) coordinate array to (n,) values; it must vanish (to
+    within 1e-10, scaled) at constrained dof nodes, otherwise a
+    BoundaryCompatibilityError is raised instead of silently projecting.
+    Polynomials of total degree <= p are reproduced exactly.
+    """
+    values = np.asarray(f(space.dof_coords), dtype=float)
+    if values.shape != (space.num_dofs,):
+        raise ValueError("interpolated function must return one value per dof node")
+    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
+    bad = space.constrained & (np.abs(values) > BOUNDARY_COMPATIBILITY_TOL * scale)
+    if np.any(bad):
+        worst = int(np.argmax(np.abs(values) * bad))
+        raise BoundaryCompatibilityError(
+            f"function does not vanish on the Dirichlet boundary: value "
+            f"{values[worst]:.3e} at node {worst} {space.dof_coords[worst]}"
+        )
+    return CoefficientVector(space, values[~space.constrained])
+
+
+def discrete_inner_product(mesh, rule, u, v):
+    """<u, v>_h over the mesh; u, v map (n, 2) points to (n,) or (n, 2).
+
+    Scalar-valued functions are multiplied pointwise, vector-valued ones
+    are contracted with the Euclidean dot product. The reduction order is
+    fixed (element-major) so results are reproducible.
+    """
+    pts = mapped_points(mesh, rule.points)
+    ne, nq, _ = pts.shape
+    flat = pts.reshape(ne * nq, 2)
+    uu = np.asarray(u(flat), dtype=float)
+    vv = np.asarray(v(flat), dtype=float)
+    if uu.ndim == 1 and vv.ndim == 1:
+        prod = uu * vv
+    elif uu.ndim == 2 and vv.ndim == 2:
+        prod = np.sum(uu * vv, axis=1)
+    else:
+        raise ValueError("u and v must both be scalar-valued or both vector-valued")
+    prod = prod.reshape(ne, nq)
+    areas = np.abs(mesh.signed_areas())
+    per_element = prod @ rule.weights
+    return float(np.dot(per_element, areas))
+
+
+# -- the paper's instruments: criteria 05 (quadratic tail), 06 (contraction) --
+
+
+@dataclass
+class FixedPointReport(solver.NewtonReport):
+    """A fixed-point solve's report: Newton's, plus the observed ratios of
+    successive increment norms."""
+
+    contraction_ratios: list = None
+
+
+def zarantonello_solve(problem, tau, a0=None, cfg=solver.NewtonConfig()):
+    """Damped fixed-point iteration preconditioned by the unit stiffness.
+
+    Each step solves K delta = -tau r(a) and accepts the full update
+    (`accepted_by` "full": no line search); the map is contractive with
+    factor sqrt(1 - 2 tau gamma + tau^2 L^2) for 0 < tau < 2 gamma / L^2.
+    Contraction of tau against certified bounds is advisory: out-of-range
+    values are run anyway. The V-cycle's coarse operators of K come from
+    `galerkin_oracle`.
+    """
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    space = problem.space
+    a = zero_coefficients(space) if a0 is None else a0
+    vec = a.values.copy()
+    levels = multigrid.hierarchy(space)
+    K = assembly.assemble_unit_stiffness(problem)
+    coarse = galerkin_oracle(K, levels)
+    certified = solver._certified(problem, cfg)
+    tau_max = 2.0 * certified["gamma"] / certified["lipschitz"] ** 2 if certified else np.inf
+    if tau >= tau_max:
+        warnings.warn(
+            f"step size tau = {tau:g} is outside the certified contraction range "
+            f"(0, {tau_max:g}); the iteration may not converge",
+            stacklevel=2,
+        )
+
+    records = []
+    preconditioner = None
+    ratios = []
+    converged = False
+    failure = None
+    prev_inc = None
+    inc_ref = None
+    for n in range(cfg.max_iter):
+        coeffs = CoefficientVector(space, vec)
+        res = assembly.assemble_residual(problem, coeffs)
+        energy = assembly.assemble_energy(problem, coeffs)
+        delta, cg_info = solver.solve_cg(K, -tau * res, cfg.cg, levels=levels, coarse=coarse)
+        preconditioner = preconditioner or cg_info.describe()
+        inc_norm = float(np.sqrt(max(delta @ (K @ delta), 0.0)))
+        records.append(
+            solver.IterationRecord.of_step(
+                n, energy, float(np.linalg.norm(res)), tau, 0, "full", inc_norm, cfg.cg.rel_tol,
+                cg_info,
+            )
+        )
+        if prev_inc is not None and prev_inc > 0.0:
+            ratios.append(inc_norm / prev_inc)
+        prev_inc = inc_norm
+        vec = vec + delta
+        if inc_ref is None and inc_norm > 0.0:
+            inc_ref = inc_norm
+        if inc_norm <= cfg.tol_increment * (inc_ref or 0.0):
+            converged = True
+            break
+    else:
+        failure = "max_iter"
+
+    coeffs = CoefficientVector(space, vec)
+    res = assembly.assemble_residual(problem, coeffs)
+    report = FixedPointReport(
+        iterations=records,
+        converged=converged,
+        final_energy=assembly.assemble_energy(problem, coeffs),
+        final_residual_norm=float(np.linalg.norm(res)),
+        contraction_ratios=ratios,
+        failure=failure,
+        preconditioner=preconditioner,
+        **certified,
+    )
+    return coeffs, report
+
+
+def zarantonello_contraction(tau, gamma, lipschitz):
+    """Contraction factor sqrt(1 - 2 tau gamma + tau^2 L^2)."""
+    return float(np.sqrt(max(1.0 - 2.0 * tau * gamma + tau**2 * lipschitz**2, 0.0)))
+
+
+@dataclass
+class TailDiagnostic:
+    """Quadratic-tail summary relative to a reference solution."""
+
+    errors: list                 # e_n = ||Curl(a^n - a_ref)|| per recorded iterate
+    full_step_start: int         # first iteration index from which tau = 1 onward
+    ratios: list                 # e_{n+1} / e_n^2 over the full-step tail
+    valid_ratios: list           # ratios with both errors above the noise floor
+    m_hat: float                 # max of valid ratios (inf if none)
+    stable_within: float         # max/min over the last <= 3 valid ratios
+    sufficient: bool             # at least 3 tail iterations observed
+
+
+def quadratic_tail_diagnostic(report, iterate_history, reference, problem, noise_floor=None):
+    """Measure the quadratic convergence tail of a Newton run.
+
+    iterate_history must contain the free-dof vectors of the recorded
+    iterates (see run_newton_with_history); errors are curl norms against
+    `reference`, a higher-accuracy solution of the same problem. Ratios
+    e_{n+1}/e_n^2 are reported from the first all-full-step iteration
+    onward; ratios are marked valid when both errors sit above the noise
+    floor (default: 100 eps times the reference curl norm), which keeps
+    rounding-dominated final iterates out of the constant estimate.
+    """
+    ref = reference.values
+    scale = assembly.curl_norm(problem, ref)
+    if noise_floor is None:
+        noise_floor = 100.0 * np.finfo(float).eps * max(scale, 1.0)
+    errors = [assembly.curl_norm(problem, vec - ref) for vec in iterate_history]
+
+    taus = [rec.tau for rec in report.iterations]
+    start = len(taus)
+    for i in range(len(taus) - 1, -1, -1):
+        if taus[i] == 1.0 and report.iterations[i].backtracks == 0:
+            start = i
+        else:
+            break
+    ratios = []
+    valid = []
+    for i in range(start, len(errors) - 1):
+        if errors[i] <= 0.0:
+            continue
+        ratio = errors[i + 1] / errors[i] ** 2
+        ratios.append(ratio)
+        if errors[i] > noise_floor and errors[i + 1] > noise_floor:
+            valid.append(ratio)
+    tail = valid[-3:]
+    m_hat = max(valid) if valid else float("inf")
+    stable = max(tail) / min(tail) if len(tail) >= 2 and min(tail) > 0 else float("inf")
+    return TailDiagnostic(
+        errors=errors,
+        full_step_start=start,
+        ratios=ratios,
+        valid_ratios=valid,
+        m_hat=m_hat,
+        stable_within=stable,
+        sufficient=(len(errors) - 1 - start) >= 3,
+    )
+
+
+def run_newton_with_history(problem, a0=None, cfg=solver.NewtonConfig()):
+    """newton_solve plus the list of iterate dof vectors (a0 included)."""
+    history = []
+    coeffs, report = solver.newton_solve(problem, a0, cfg, history=history)
+    return coeffs, report, history
 
 
 def eval_basis(space, element, point):

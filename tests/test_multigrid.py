@@ -12,9 +12,9 @@ from scipy.sparse.linalg import LinearOperator, cg, eigsh
 
 import magfem as mf
 from magfem import assembly, harness, multigrid, solver
-from magfem.femspace import CoefficientVector, build_space, interpolate
+from magfem.femspace import CoefficientVector, build_space
 
-from conftest import galerkin_oracle
+from conftest import galerkin_oracle, interpolate
 
 PROLONGATION_TOL = 1e-12      # relative, max-norm
 SYMMETRY_TOL = 1e-12          # relative to the largest preconditioner entry
@@ -460,9 +460,6 @@ def test_newton_runs_the_sparse_galerkin_product_only_on_aggregation_levels(monk
     refined = harness.problem_at_level(harness.pm_toy_benchmark(), 1, order=1)
     _, report = solver.newton_solve(refined)
     assert report.converged and len(report.preconditioner["levels"]) == 3
-    gamma, lip = refined.certified_bounds()
-    cfg = solver.NewtonConfig(max_iter=2)
-    solver.zarantonello_solve(refined, tau=gamma / lip**2, cfg=cfg)
     assert products == []  # geometric levels only: every operator from element matrices
 
     parsed = _parsed_square_problem(32)

@@ -9,7 +9,7 @@ from magfem.quadrature import (
     rule_for_degree,
 )
 
-from conftest import conical_rule, monomial_integral
+from conftest import conical_rule, discrete_inner_product, monomial_integral
 
 
 def test_centroid_rule():
@@ -78,14 +78,14 @@ def test_monomial_exactness(degree):
 def test_discrete_inner_product_of_ones_is_area(unit_square_4):
     rule = rule_for_degree(2)
     one = lambda x: np.ones(len(x))
-    assert mf.discrete_inner_product(unit_square_4, rule, one, one) == pytest.approx(
+    assert discrete_inner_product(unit_square_4, rule, one, one) == pytest.approx(
         1.0, abs=1e-13
     )
 
 
 def test_discrete_inner_product_x_times_y(unit_square_4):
     rule = rule_for_degree(2)
-    val = mf.discrete_inner_product(
+    val = discrete_inner_product(
         unit_square_4, rule, lambda p: p[:, 0], lambda p: p[:, 1]
     )
     assert val == pytest.approx(0.25, abs=1e-13)
@@ -95,7 +95,7 @@ def test_discrete_inner_product_vector_valued(unit_square_4):
     rule = rule_for_degree(4)
     u = lambda p: np.column_stack([p[:, 0], p[:, 1]])
     # <u, u> = int x^2 + y^2 over the unit square = 2/3
-    val = mf.discrete_inner_product(unit_square_4, rule, u, u)
+    val = discrete_inner_product(unit_square_4, rule, u, u)
     assert val == pytest.approx(2.0 / 3.0, rel=1e-13)
 
 
@@ -110,7 +110,7 @@ def test_discrete_inner_product_random_p1_pairs_against_closed_form():
         coef_v = rng.normal(size=3)
         u = lambda p: coef_u[0] + coef_u[1] * p[:, 0] + coef_u[2] * p[:, 1]
         v = lambda p: coef_v[0] + coef_v[1] * p[:, 0] + coef_v[2] * p[:, 1]
-        got = mf.discrete_inner_product(mesh, rule, u, v)
+        got = discrete_inner_product(mesh, rule, u, v)
 
         exact = 0.0
         for tri in mesh.triangles:

@@ -10,7 +10,13 @@ from magfem import assembly, solver
 from magfem.femspace import CoefficientVector
 from magfem.harness import manufactured_benchmark, pm_toy_benchmark, problem_at_level
 
-from conftest import rng
+from conftest import (
+    quadratic_tail_diagnostic,
+    rng,
+    run_newton_with_history,
+    zarantonello_contraction,
+    zarantonello_solve,
+)
 
 
 def _tight(cfg=None, **kw):
@@ -111,7 +117,7 @@ def test_linear_law_converges_in_one_iteration():
 def test_newton_directions_satisfy_descent_guarantee(small_brauer_problem):
     # <dw(b) - h_s, Curl da>_h <= -gamma ||Curl da||_h^2 for every step
     problem = small_brauer_problem
-    coeffs, report, history = mf.run_newton_with_history(problem)
+    coeffs, report, history = run_newton_with_history(problem)
     gamma, _ = problem.certified_bounds()
     for n, rec in enumerate(report.iterations):
         res = assembly.assemble_residual(
@@ -346,7 +352,7 @@ def test_iteration_records_carry_inner_solve(small_brauer_problem, monkeypatch, 
         _, report = mf.newton_solve(problem)
     else:
         gamma, lip = problem.certified_bounds()
-        _, report = mf.zarantonello_solve(problem, tau=gamma / lip**2, cfg=_tight(max_iter=3))
+        _, report = zarantonello_solve(problem, tau=gamma / lip**2, cfg=_tight(max_iter=3))
     assert len(infos) == report.n_iterations > 0
     assert [(r.cg_iters, r.cg_converged, r.cg_residual) for r in report.iterations] == [
         (info.iterations, info.converged, info.residual_norm) for info in infos
@@ -426,7 +432,7 @@ def test_energy_gap_contraction_linear_case():
 def test_r_linear_iterate_bound(small_brauer_problem):
     # ||Curl(a^n - a*)||^2 <= (L/gamma) q^n ||Curl(a^0 - a*)||^2
     problem = small_brauer_problem
-    coeffs, report, history = mf.run_newton_with_history(problem)
+    coeffs, report, history = run_newton_with_history(problem)
     ref, _ = mf.newton_solve(problem, cfg=_tight(tol_increment=1e-13, tol_residual=1e-13))
     gamma, lip = problem.certified_bounds()
     q = report.q_bound
@@ -470,14 +476,13 @@ def test_report_json_round_trip(small_brauer_problem):
     }
 
 
-def test_fixed_point_report_serializes_contraction_ratios(small_brauer_problem):
+def test_fixed_point_report_serializes_full_steps(small_brauer_problem):
     import json
 
     gamma, lip = small_brauer_problem.certified_bounds()
     cfg = _tight(max_iter=3)
-    _, report = mf.zarantonello_solve(small_brauer_problem, tau=gamma / lip**2, cfg=cfg)
+    _, report = zarantonello_solve(small_brauer_problem, tau=gamma / lip**2, cfg=cfg)
     doc = json.loads(report.to_json(config=cfg))
-    assert len(doc["contraction_ratios"]) == 2
     assert [rec["accepted_by"] for rec in doc["iterations"]] == ["full"] * 3  # no line search
     assert doc["failure"] == "max_iter"
     assert doc["config"]["max_iter"] == 3
@@ -490,23 +495,23 @@ def test_zarantonello_linear_one_step():
     nu = 2.0
     bench = manufactured_benchmark(law=mf.LinearLaw(nu))
     problem = problem_at_level(bench, 1, order=1)
-    coeffs, report = mf.zarantonello_solve(problem, tau=1.0 / nu)
+    coeffs, report = zarantonello_solve(problem, tau=1.0 / nu)
     newton_ref, _ = mf.newton_solve(problem)
     rel = np.linalg.norm(coeffs.values - newton_ref.values) / np.linalg.norm(
         newton_ref.values
     )
     assert rel <= 1e-10
     assert report.contraction_ratios[0] <= 1e-8
-    assert mf.zarantonello_contraction(1.0 / nu, nu, nu) == 0.0
+    assert zarantonello_contraction(1.0 / nu, nu, nu) == 0.0
 
 
 def test_zarantonello_contraction_bound_brauer(small_brauer_problem):
     problem = small_brauer_problem
     gamma, lip = problem.certified_bounds()
     tau = gamma / lip**2
-    bound = mf.zarantonello_contraction(tau, gamma, lip)
+    bound = zarantonello_contraction(tau, gamma, lip)
     cfg = _tight(max_iter=6)
-    _, report = mf.zarantonello_solve(problem, tau=tau, cfg=cfg)
+    _, report = zarantonello_solve(problem, tau=tau, cfg=cfg)
     assert len(report.contraction_ratios) == 5
     for ratio in report.contraction_ratios:
         assert ratio <= bound + 1e-8
@@ -518,21 +523,21 @@ def test_zarantonello_increment_linear_in_tau(small_brauer_problem):
     cfg = _tight(max_iter=1)
     incs = {}
     for tau in (1e-10, 2e-10):
-        _, report = mf.zarantonello_solve(problem, tau=tau, cfg=cfg)
+        _, report = zarantonello_solve(problem, tau=tau, cfg=cfg)
         incs[tau] = report.iterations[0].increment_norm
     assert incs[2e-10] == pytest.approx(2.0 * incs[1e-10], rel=1e-10)
 
 
 def test_zarantonello_rejects_nonpositive_tau(small_brauer_problem):
     with pytest.raises(ValueError):
-        mf.zarantonello_solve(small_brauer_problem, tau=0.0)
+        zarantonello_solve(small_brauer_problem, tau=0.0)
 
 
 def test_zarantonello_warns_outside_contraction_range(small_brauer_problem):
     gamma, lip = small_brauer_problem.certified_bounds()
     cfg = _tight(max_iter=1)
     with pytest.warns(UserWarning, match="contraction range"):
-        mf.zarantonello_solve(small_brauer_problem, tau=4.0 * gamma / lip**2, cfg=cfg)
+        zarantonello_solve(small_brauer_problem, tau=4.0 * gamma / lip**2, cfg=cfg)
 
 
 def test_line_search_failure_is_fatal_with_diagnostics(small_brauer_problem):
@@ -549,9 +554,9 @@ def test_line_search_failure_is_fatal_with_diagnostics(small_brauer_problem):
 def test_tail_diagnostic_linear_law_immediate():
     bench = manufactured_benchmark(law=mf.LinearLaw(1.0))
     problem = problem_at_level(bench, 1, order=1)
-    coeffs, report, history = mf.run_newton_with_history(problem)
+    coeffs, report, history = run_newton_with_history(problem)
     ref, _ = mf.newton_solve(problem, cfg=_tight(tol_increment=1e-13, tol_residual=1e-13))
-    diag = mf.quadratic_tail_diagnostic(report, history, ref, problem)
+    diag = quadratic_tail_diagnostic(report, history, ref, problem)
     assert not diag.sufficient  # single Newton step: no tail to measure
     scale = assembly.curl_norm(problem, ref.values)
     assert diag.errors[-1] <= 1e-10 * scale
@@ -560,9 +565,9 @@ def test_tail_diagnostic_linear_law_immediate():
 def test_tail_diagnostic_brauer(small_brauer_problem):
     problem = small_brauer_problem
     cfg = _tight(tol_increment=1e-12, tol_residual=1e-12)
-    coeffs, report, history = mf.run_newton_with_history(problem, cfg=cfg)
+    coeffs, report, history = run_newton_with_history(problem, cfg=cfg)
     ref, _ = mf.newton_solve(problem, cfg=_tight(tol_increment=1e-13, tol_residual=1e-13))
-    diag = mf.quadratic_tail_diagnostic(report, history, ref, problem)
+    diag = quadratic_tail_diagnostic(report, history, ref, problem)
     assert diag.sufficient
     tail = report.iterations[diag.full_step_start :]
     assert len(tail) >= 3
@@ -581,9 +586,9 @@ def test_tail_constant_growth_under_refinement():
     mhats = []
     for lv in range(3):
         problem = problem_at_level(bench, lv, order=1)
-        _, report, history = mf.run_newton_with_history(problem, cfg=cfg)
+        _, report, history = run_newton_with_history(problem, cfg=cfg)
         ref, _ = mf.newton_solve(problem, cfg=refcfg)
-        diag = mf.quadratic_tail_diagnostic(report, history, ref, problem)
+        diag = quadratic_tail_diagnostic(report, history, ref, problem)
         assert np.isfinite(diag.m_hat)
         mhats.append(diag.m_hat)
     for coarse, fine in zip(mhats, mhats[1:]):
@@ -592,7 +597,7 @@ def test_tail_constant_growth_under_refinement():
 
 
 def test_history_matches_report(small_brauer_problem):
-    coeffs, report, history = mf.run_newton_with_history(small_brauer_problem)
+    coeffs, report, history = run_newton_with_history(small_brauer_problem)
     assert len(history) == report.n_iterations + 1
     assert np.array_equal(history[-1], coeffs.values)
 
