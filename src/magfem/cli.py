@@ -44,8 +44,22 @@ def _reading_input():
         raise ConfigError(str(exc)) from exc
 
 
+#: The keys each [map] reads besides `name`; any other key is a usage error,
+#: not silently ignored.
+MAP_KEYS = {
+    "identity": frozenset(),
+    "affine": frozenset("a11 a12 a21 a22 shift_x shift_y".split()),
+    "quarter_annulus": frozenset(("r_inner", "r_outer")),
+}
+
+
 def _build_map(section):
     name = section.get("name", "identity")
+    if name not in MAP_KEYS:
+        raise ConfigError(f"unknown map {name!r}; choose from {geometry.BUILTIN_MAPS}")
+    unknown = sorted(set(section) - set(section.parser.defaults()) - {"name"} - MAP_KEYS[name])
+    if unknown:
+        raise ConfigError(f"[map] unknown key {', '.join(unknown)} for map {name!r}")
     if name == "identity":
         return geometry.identity_map()
     if name == "affine":
@@ -55,11 +69,9 @@ def _build_map(section):
         ]
         shift = (_finite_float(section, "shift_x", 0.0), _finite_float(section, "shift_y", 0.0))
         return geometry.affine_map(matrix, shift)
-    if name == "quarter_annulus":
-        return geometry.quarter_annulus_map(
-            _finite_float(section, "r_inner"), _finite_float(section, "r_outer")
-        )
-    raise ConfigError(f"unknown map {name!r}; choose from {geometry.BUILTIN_MAPS}")
+    return geometry.quarter_annulus_map(
+        _finite_float(section, "r_inner"), _finite_float(section, "r_outer")
+    )
 
 
 def _finite_float(section, key, default=None):

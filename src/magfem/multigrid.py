@@ -175,9 +175,14 @@ def _l1_row_sums(A):
     return np.add.reduceat(np.abs(A.data), A.indptr[:-1])  # no empty rows in an SPD matrix
 
 
-def _smoother_weights(A):
-    """Row weights W: omega / a_ii, lowered where needed so lambda_max(W A) < 2."""
-    return np.minimum(OMEGA / A.diagonal(), L1_BOUND / _l1_row_sums(A))
+def _smoother_weights(A, diag=None):
+    """Row weights W: omega / a_ii, lowered where needed so lambda_max(W A) < 2.
+
+    `diag` is A's diagonal when the caller already has it.
+    """
+    if diag is None:
+        diag = A.diagonal()
+    return np.minimum(OMEGA / diag, L1_BOUND / _l1_row_sums(A))
 
 
 def aggregate(A):
@@ -275,15 +280,18 @@ class VCycle:
     more level, whose coarsest "solve" is its own weighted-Jacobi step W r.
     W is SPD, so the cycle stays SPD. Every operator must have a positive diagonal; a
     coarsest operator that is not positive definite raises
-    np.linalg.LinAlgError.
+    np.linalg.LinAlgError. `diagonal` is the finest operator's diagonal
+    when the caller already has it.
     """
 
-    def __init__(self, operators, levels):
+    def __init__(self, operators, levels, diagonal=None):
         if len(operators) != len(levels) + 1:
             raise ValueError(f"{len(operators)} operators for {len(levels)} levels")
+        diagonals = [diagonal] + [None] * len(levels)
         # (A, smoother weights, P, P^T) per smoothed level; P None if stalled
         self.levels = [
-            (A, _smoother_weights(A), level.P, level.R) for A, level in zip(operators, levels)
+            (A, _smoother_weights(A, d), level.P, level.R)
+            for A, d, level in zip(operators, diagonals, levels)
         ]
         A = operators[-1]
         while A.shape[0] > MAX_COARSE_DOFS:

@@ -7,8 +7,8 @@ grid 1, rho, rho^2, ... until the Armijo decrease condition holds (or,
 where the decrease it demands is below the energy's rounding, its
 derivative form), and records telemetry: energy, residual norm, step size,
 backtrack count, which test accepted the step, curl norm of the increment,
-and the inner solve's tolerance, iteration count, convergence flag and
-true residual norm.
+and the inner solve's tolerance, iteration count, convergence flag, true
+residual norm and stop reason.
 
 A step that the derivative form accepts records as its energy the
 trapezoid estimate W + tau (slope + d) / 2 from the slope at both ends,
@@ -19,10 +19,10 @@ it by W + sigma tau slope < W, so recorded energies never rise.
 
 The Newton steps are inexact. The first inner solve runs to
 `cfg.cg.rel_tol`; step k > 0 runs to the forcing term
-eta_k = max(cfg.cg.rel_tol, min(FORCING_MAX, (||r_k|| / ||r_0||)^2)),
-loose far from the solution and of order ||r_k|| or tighter near it,
-which keeps the local quadratic rate (Dembo-Eisenstat-Steihaug, SIAM J.
-Numer. Anal. 19, 1982). A linear law still converges in one step.
+eta_k = max(cfg.cg.rel_tol, min(FORCING_MAX, ||r_k|| / ||r_0||)),
+loose far from the solution and of order ||r_k|| near it, which keeps
+the local quadratic rate (Dembo-Eisenstat-Steihaug, SIAM J. Numer. Anal.
+19, 1982). A linear law still converges in one step.
 
 With certified convexity bounds (gamma, L) the report also carries the
 step-size floor tau* = 2 rho (1-sigma) gamma/L and the contraction factor
@@ -126,6 +126,7 @@ class IterationRecord:
     cg_iters: int
     cg_converged: bool
     cg_residual: float
+    cg_stopped_by: str  # CGInfo.stopped_by
 
     @classmethod
     def of_step(
@@ -145,6 +146,7 @@ class IterationRecord:
             cg_iters=cg.iterations,
             cg_converged=cg.converged,
             cg_residual=cg.residual_norm,
+            cg_stopped_by=cg.stopped_by,
         )
 
 
@@ -200,6 +202,7 @@ class CGInfo:
     residual_norm: float
     preconditioner: str  # "multigrid" or "jacobi"
     levels: tuple        # operator rows per level, finest first; () if none was built
+    stopped_by: str      # "tolerance", "floor" (rounding floor) or "budget" (max_iter)
 
     def describe(self):
         """The preconditioner and its level rows, as reports carry them."""
@@ -222,15 +225,17 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
     MAX_REFINEMENTS rounds while each round at least halves it (on
     ill-conditioned systems the true residual bottoms out at the rounding
     floor eps ||A|| ||x||, which no amount of iteration cures).
-    Deterministic: fixed start x = 0, fixed reduction order. Budget
-    exhaustion or a rounding-floor stall is reported in CGInfo.
+    Deterministic: fixed start x = 0, fixed reduction order. CGInfo's
+    `stopped_by` says why the iteration ended: "tolerance" when the true
+    residual meets it (`converged`), else "floor" for a rounding-floor
+    stall or "budget" when max_iter ran out.
     """
     n = matrix.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     b_norm = float(np.linalg.norm(rhs))
     kind = "multigrid" if levels else "jacobi"
     if n == 0 or b_norm == 0.0:
-        return np.zeros(n), CGInfo(0, True, 0.0, kind, ())
+        return np.zeros(n), CGInfo(0, True, 0.0, kind, (), "tolerance")
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(1000, 5 * n)
     tol = cfg.rel_tol * b_norm
 
@@ -239,7 +244,7 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
         raise SolverError("matrix diagonal not positive; not SPD")
     if levels:
         try:
-            precondition = multigrid.VCycle((matrix, *coarse), levels)
+            precondition = multigrid.VCycle((matrix, *coarse), levels, diagonal=diag)
         except np.linalg.LinAlgError:
             raise SolverError("coarse operator not positive definite; not SPD") from None
         sizes = tuple(precondition.sizes)
@@ -258,15 +263,17 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
     iterations = 0
     refinements = 0
     best_true = np.inf
-    true_res = None
+    stopped_by = "budget"
     while iterations < max_iter:
         if np.linalg.norm(r) <= tol:
             true_r = rhs - matrix @ x
             true_res = float(np.linalg.norm(true_r))
             if true_res <= tol:
+                stopped_by = "tolerance"
                 break
             if refinements >= MAX_REFINEMENTS or true_res > 0.5 * best_true:
-                break  # rounding floor reached; more iterations cannot help
+                stopped_by = "floor"  # more iterations cannot help
+                break
             best_true = min(best_true, true_res)
             refinements += 1
             r = true_r
@@ -285,9 +292,11 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if true_res is None:
+    if stopped_by == "budget":
         true_res = float(np.linalg.norm(rhs - matrix @ x))
-    return x, CGInfo(iterations, true_res <= tol, true_res, kind, sizes)
+        if true_res <= tol:
+            stopped_by = "tolerance"
+    return x, CGInfo(iterations, stopped_by == "tolerance", true_res, kind, sizes, stopped_by)
 
 
 def _certified(problem, cfg):
@@ -385,11 +394,10 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
             break
 
         hess, *coarse = assembly.assemble_hessian(problem, CoefficientVector(space, vec), levels)
-        # forcing term: the first solve is exact, later ones as loose as the
-        # residual's squared decrease allows
+        # forcing term: the first solve is exact, later ones of order ||r_k||
         eta = cfg.cg.rel_tol
         if n > 0:
-            eta = max(eta, min(FORCING_MAX, (res_norm / res_ref) ** 2))
+            eta = max(eta, min(FORCING_MAX, res_norm / res_ref))
         rhs = -res
         if singular:  # the rounding along the kernel would send CG into it
             rhs -= rhs.mean()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import magfem as mf
+from magfem import cli, geometry
 from magfem.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 
 BASE_CONFIG = """
@@ -464,6 +465,22 @@ def test_solve_incomplete_map_is_usage_error(tmp_path, capsys, section, message)
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")])
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("name = affine\na11 = 2.0\na22 = 2.0\na_12 = 5.0", "a_12"),
+        ("name = quarter_annulus\nr_inner = 0.5\nr_outer = 1.0\na11 = 2.0", "a11"),
+        ("name = identity\nr_inner = 0.5", "r_inner"),
+    ],
+)
+def test_solve_unknown_map_key_is_usage_error(tmp_path, capsys, section, key):
+    cfg = _write(tmp_path, "run.ini", LINEAR_JS_CONFIG + f"\n[map]\n{section}\n")
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")])
+    assert code == EXIT_USAGE
+    assert f"[map] unknown key {key}" in capsys.readouterr().err
+    assert set(cli.MAP_KEYS) == set(geometry.BUILTIN_MAPS)
 
 
 def test_material_check_missing_required_param_names_it(capsys):

@@ -151,6 +151,20 @@ def test_smoother_converges_on_every_level(case, order):
         assert _lambda_max(A_level, weights) < SMOOTHER_BOUND
 
 
+def test_solve_cg_reads_the_finest_diagonal_once(monkeypatch):
+    # solve_cg checks the diagonal and hands it to the smoother weights
+    problem, state = _state("pm_toy", 1)
+    levels = multigrid.hierarchy(problem.space)
+    A, *coarse = assembly.assemble_hessian(problem, state, levels)
+    rhs = -assembly.assemble_residual(problem, state)
+    reads = []
+    diagonal = type(A).diagonal
+    monkeypatch.setattr(type(A), "diagonal", lambda M, k=0: reads.append(M is A) or diagonal(M, k))
+    _, info = solver.solve_cg(A, rhs, levels=levels, coarse=coarse)
+    assert info.preconditioner == "multigrid" and info.converged
+    assert reads.count(True) == 1
+
+
 def test_plain_damped_jacobi_would_diverge_on_saturated_p4():
     # why the smoother weights are capped: omega / a_ii alone fails here
     A, _, _ = _vcycle("pm_toy", 3)

@@ -60,8 +60,8 @@ def solve_energies(problem, rng):
 
     real_init = multigrid.VCycle.__init__
 
-    def perturbed_init(self, operators, levels):
-        real_init(self, operators, levels)
+    def perturbed_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
         g = rng.standard_normal(self.inverse_factor.shape)
         self.inverse_factor = self.inverse_factor * (1.0 + NOISE * g)
 
