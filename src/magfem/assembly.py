@@ -46,14 +46,14 @@ class Problem:
     linear functional of the potential, so it is integrated once into the
     free-dof vector `load`, and the discrete energy is
     W(a) = <w(Curl a), 1>_h - <load, a>. `order` is the curl degree k; the
-    potential lives in Lagrange elements of degree k+1 and the default
-    quadrature is exact to degree 2k.
+    potential lives in Lagrange elements of degree k+1 and the quadrature
+    `rule` is exact to degree max(2k, 1).
 
     A `domain_map` (`geometry.DomainMap`) poses the problem on the image of
     the mesh under the map, with the laws and sources in physical
     coordinates: the change of variables is folded into the tables below
-    (`_tables`), so no assembly calls the map, and only the energy reads
-    its determinant `jacobian`.
+    (`_tables`), so no assembly calls the map, and the one quadrature
+    measure `wq` of every integral and norm carries its determinant.
 
     Everything an assembly reads is tabulated once, at construction, into
     the read-only arrays below; nothing is assigned afterwards. The basis
@@ -70,14 +70,12 @@ class Problem:
     dirichlet_tags: frozenset
     hs_field: object = None
     js_density: object = None
-    quad_degree: int = None
     domain_map: object = None
     space: femspace.FESpace = field(init=False)
     rule: object = field(init=False)
     points: np.ndarray = field(init=False)  # (ne, nq, 2) mapped quadrature points
     curls: np.ndarray = field(init=False)   # (ne, n_local, nq, 2) basis curls
-    wq: np.ndarray = field(init=False)      # (ne, nq) weights times element areas
-    jacobian: np.ndarray = field(init=False)  # (ne, nq) the map's det F; None without a map
+    wq: np.ndarray = field(init=False)      # (ne, nq) weights times element areas (times det F)
     region_rows: dict = field(init=False)   # {region tag: element indices}
     load: np.ndarray = field(init=False)    # (n_free,) the source's load vector
     slots: np.ndarray = field(init=False)   # (ne, n_local, n_local) CSR slot per local entry
@@ -91,17 +89,9 @@ class Problem:
         missing = mesh.region_tags_present() - set(self.materials)
         if missing:
             raise ProblemConfigError(f"regions {sorted(missing)} have no material law")
-        degree = self.quad_degree
-        if degree is None:
-            degree = max(2 * self.order, 1)
-        elif degree < 2 * self.order:
-            raise ProblemConfigError(
-                f"quadrature exactness {degree} is below the bilinear requirement "
-                f"2k = {2 * self.order}"
-            )
-        rule = rule_for_degree(degree)
+        rule = rule_for_degree(max(2 * self.order, 1))
         space = femspace.build_space(mesh, self.order + 1, self.dirichlet_tags)
-        points, curls, wq, jacobian = _tables(space, rule, self.domain_map)
+        points, curls, wq = _tables(space, rule, self.domain_map)
         curls = np.ascontiguousarray(curls)
         ne, nq, _ = points.shape
         flat_points = points.reshape(ne * nq, 2)
@@ -125,11 +115,8 @@ class Problem:
         load = _free_sum(space, cell)
         for arr in (points, curls, wq, load, slots, indices, indptr, *region_rows.values()):
             arr.flags.writeable = False
-        if jacobian is not None:
-            jacobian.flags.writeable = False
         for name, value in (
-            ("quad_degree", degree), ("rule", rule), ("space", space),
-            ("points", points), ("curls", curls), ("wq", wq), ("jacobian", jacobian),
+            ("rule", rule), ("space", space), ("points", points), ("curls", curls), ("wq", wq),
             ("region_rows", region_rows), ("load", load),
             ("slots", slots), ("indices", indices), ("indptr", indptr),
         ):
@@ -143,6 +130,13 @@ class Problem:
             f"source={source})"
         )
 
+    def describe(self):
+        """The size, degrees and region tags that reports carry."""
+        return {
+            "ne": self.mesh.num_triangles, "n_free": self.space.n_free, "order": self.order,
+            "quad_degree": self.rule.degree, "regions": list(self.region_rows),
+        }
+
     def certified_bounds(self):
         """(gamma, L) over all region laws, or None if any law lacks them."""
         gammas, lips = [], []
@@ -155,21 +149,20 @@ class Problem:
 
 
 def _tables(space, rule, domain_map):
-    """Quadrature tables of `rule` on the space's mesh: (points, curls, wq, J).
+    """Quadrature tables of `rule` on the space's mesh: (points, curls, wq).
 
     The points (ne, nq, 2), the basis curls with element-major axes (ne,
-    n_local, nq, 2), not necessarily contiguous, and the weights times
-    element areas (ne, nq). With a domain map these are the physical
-    domain's, by the change of variables x -> phi(x) with F = D phi and
-    J = det F at the reference points: points phi(x), curls F Curl phi / J
-    (the Piola transform of the flux) and weights times J; J (ne, nq) is
-    returned too, and None without a map.
+    n_local, nq, 2), not necessarily contiguous, and the measure wq (ne,
+    nq), weights times element areas. With a domain map these are the
+    physical domain's, by the change of variables x -> phi(x) with F = D phi
+    and J = det F at the reference points: points phi(x), curls
+    F Curl phi / J (the Piola transform of the flux) and weights times J.
     """
     points = mapped_points(space.mesh, rule.points)
     curls = femspace.tabulate_curl(space, rule).transpose(0, 2, 1, 3)
     wq = rule.weights[None, :] * space.element_areas[:, None]
     if domain_map is None:
-        return points, curls, wq, None
+        return points, curls, wq
     ne, nq, _ = points.shape
     flat = points.reshape(ne * nq, 2)
     F, J = domain_map.jacobians(flat)  # raises OrientationError where J <= 0
@@ -178,8 +171,7 @@ def _tables(space, rule, domain_map):
     for i in range(2):
         piola[..., i] = G[..., i, 0] * curls[..., 0] + G[..., i, 1] * curls[..., 1]
     points = np.asarray(domain_map.phi(flat), dtype=float).reshape(ne, nq, 2)
-    J = J.reshape(ne, nq)
-    return points, piola, wq * J, J
+    return points, piola, wq * J.reshape(ne, nq)
 
 
 def _csr_pattern(space):
@@ -260,14 +252,11 @@ def assemble_energy(problem, coeffs):
 
     NaN when the flux density overflows, which no material law evaluates.
     """
-    weights, areas = problem.rule.weights, problem.space.element_areas
     b = curl_at_quadrature(problem, coeffs)
     if not np.isfinite(b).all():
         return np.nan
     w = _material_apply(problem, "w", b)  # (ne, nq)
-    if problem.jacobian is not None:
-        w *= problem.jacobian
-    return float((w @ weights) @ areas) - float(problem.load @ coeffs.values)
+    return float(np.sum(problem.wq * w)) - float(problem.load @ coeffs.values)
 
 
 def assemble_residual(problem, coeffs):
@@ -387,31 +376,36 @@ def _csr(data, indices, indptr):
     return mat
 
 
+def l2_norm(wq, v):
+    """Discrete L2 norm sqrt(sum wq |v|^2) of (ne, nq, 2) samples on a rule of measure wq."""
+    return float(np.sqrt(np.sum(wq * np.sum(v * v, axis=2))))
+
+
 def curl_norm(problem, free_values):
     """Discrete curl (semi)norm ||Curl v_h||_h of a free-dof vector.
 
-    The square root of the quadrature sum of |Curl v_h|^2: the same
+    The L2 norm of Curl v_h at the problem's quadrature points: the same
     quantity as sqrt(v^T K v) with the unit stiffness K, which uses the
     same rule, without assembling K.
     """
     b = curl_at_quadrature(problem, femspace.CoefficientVector(problem.space, free_values))
-    return float(np.sqrt(np.sum(problem.wq * np.sum(b * b, axis=2))))
+    return l2_norm(problem.wq, b)
 
 
 def fields_at_quadrature(problem, *coeffs, rule=None):
-    """Quadrature-point samples (x, b, h) for post-processing and errors.
+    """Quadrature-point samples (x, wq, b, h) for post-processing and errors.
 
     With `rule` given, tabulates on that rule (used for the over-integrated
     error norms) without keeping the tables; defaults to the problem's own
-    rule. On a mapped problem, x, b and h are the physical ones. Several
-    coefficient vectors share one tabulation: the result is x followed by
-    b and h of each vector in turn.
+    rule. On a mapped problem, x, b, h and the measure wq (`_tables`) are
+    the physical ones. Several coefficient vectors share one tabulation:
+    the result is x and wq followed by b and h of each vector in turn.
     """
     if rule is None or rule.degree == problem.rule.degree:
-        pts, curls = problem.points, problem.curls
+        pts, curls, wq = problem.points, problem.curls, problem.wq
     else:
-        pts, curls, _, _ = _tables(problem.space, rule, problem.domain_map)
-    fields = [pts]
+        pts, curls, wq = _tables(problem.space, rule, problem.domain_map)
+    fields = [pts, wq]
     for c in coeffs:
         b = np.einsum("el,elqi->eqi", _local_coeffs(problem, c), curls)
         fields += [b, _material_apply(problem, "dw", b, pts)]

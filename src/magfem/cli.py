@@ -44,8 +44,14 @@ def _reading_input():
         raise ConfigError(str(exc)) from exc
 
 
-#: The keys each [map] reads besides `name`; any other key is a usage error,
-#: not silently ignored.
+def _reject_unknown(section, known, context=""):
+    """A key of `section` outside `known` is a usage error, not silently ignored."""
+    unknown = sorted(set(section) - set(section.parser.defaults()) - set(known))
+    if unknown:
+        raise ConfigError(f"[{section.name}] unknown key {', '.join(unknown)}{context}")
+
+
+#: The keys each [map] reads besides `name`.
 MAP_KEYS = {
     "identity": frozenset(),
     "affine": frozenset("a11 a12 a21 a22 shift_x shift_y".split()),
@@ -57,9 +63,7 @@ def _build_map(section):
     name = section.get("name", "identity")
     if name not in MAP_KEYS:
         raise ConfigError(f"unknown map {name!r}; choose from {geometry.BUILTIN_MAPS}")
-    unknown = sorted(set(section) - set(section.parser.defaults()) - {"name"} - MAP_KEYS[name])
-    if unknown:
-        raise ConfigError(f"[map] unknown key {', '.join(unknown)} for map {name!r}")
+    _reject_unknown(section, MAP_KEYS[name] | {"name"}, f" for map {name!r}")
     if name == "identity":
         return geometry.identity_map()
     if name == "affine":
@@ -84,7 +88,7 @@ def _finite_float(section, key, default=None):
     return value
 
 
-#: The keys of [newton]; any other key is a usage error, not silently ignored.
+#: The keys of [newton].
 NEWTON_KEYS = frozenset(
     "rho sigma tol_increment tol_residual max_iter max_backtracks cg_rel_tol cg_max_iter".split()
 )
@@ -94,9 +98,7 @@ def read_newton_config(parser):
     cfg = solver.NewtonConfig()
     if parser.has_section("newton"):
         s = parser["newton"]
-        unknown = sorted(set(s) - set(parser.defaults()) - NEWTON_KEYS)
-        if unknown:
-            raise ConfigError(f"[newton] unknown key {', '.join(unknown)}")
+        _reject_unknown(s, NEWTON_KEYS)
         cg = solver.CGConfig(
             rel_tol=s.getfloat("cg_rel_tol", cfg.cg.rel_tol),
             max_iter=s.getint("cg_max_iter", None) if s.get("cg_max_iter") else None,
@@ -111,6 +113,10 @@ def read_newton_config(parser):
             cg=cg,
         )
     return cfg
+
+
+#: The keys each [source] form reads besides `form`; js reads region.<tag> keys.
+SOURCE_KEYS = {"none": frozenset(), "hs": frozenset(("hs_x", "hs_y")), "js": frozenset()}
 
 
 def read_problem_config(path, mesh_file=None):
@@ -129,6 +135,7 @@ def read_problem_config(path, mesh_file=None):
 
     if not parser.has_section("problem"):
         raise ConfigError("missing [problem] section")
+    _reject_unknown(parser["problem"], ("k", "dirichlet_tags"))
     order = parser.getint("problem", "k", fallback=1)
     tags = frozenset(
         int(t) for t in parser.get("problem", "dirichlet_tags", fallback="1").split()
@@ -147,21 +154,23 @@ def read_problem_config(path, mesh_file=None):
     if parser.has_section("source"):
         s = parser["source"]
         form = s.get("form", "none")
+        if form not in SOURCE_KEYS:
+            raise ConfigError(f"unknown source form {form!r}")
+        regions = [key for key in s if key.startswith("region.")] if form == "js" else []
+        _reject_unknown(s, SOURCE_KEYS[form].union(regions, {"form"}), f" for form {form!r}")
         if form == "js":
-            js_density = {
-                int(key.split(".", 1)[1]): _finite_float(s, key)
-                for key in s
-                if key.startswith("region.")
-            }
+            js_density = {int(key.split(".", 1)[1]): _finite_float(s, key) for key in regions}
             if not js_density:
                 raise ConfigError("js source needs region.<tag> entries")
+            absent = sorted(set(js_density) - mesh.region_tags_present())
+            if absent:
+                keys = ", ".join(f"region.{tag}" for tag in absent)
+                raise ConfigError(f"[source] {keys}: no triangle carries that region tag")
         elif form == "hs":
             vec = np.array([_finite_float(s, "hs_x", 0.0), _finite_float(s, "hs_y", 0.0)])
 
             def hs_field(x):
                 return np.broadcast_to(vec, (len(np.atleast_2d(x)), 2)).copy()
-        elif form != "none":
-            raise ConfigError(f"unknown source form {form!r}")
 
     problem = assembly.Problem(
         mesh=mesh,
@@ -182,7 +191,7 @@ _FIELDS_CHUNK = 1024
 
 
 def _write_fields_csv(problem, coeffs, path):
-    pts, b, h = assembly.fields_at_quadrature(problem, coeffs)
+    pts, _, b, h = assembly.fields_at_quadrature(problem, coeffs)
     ne, nq, _ = pts.shape
     qpoint = list(range(nq)) * _FIELDS_CHUNK
     with open(path, "w") as f:

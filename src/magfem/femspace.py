@@ -96,8 +96,7 @@ class FESpace:
     constrained: np.ndarray     # (num_dofs,) bool
     free_index: np.ndarray      # (num_dofs,) position among free dofs, -1 if constrained
     dirichlet_tags: frozenset
-    element_matrix: np.ndarray   # (ne, 2, 2) affine map matrix, columns v1-v0, v2-v0
-    element_inverse: np.ndarray  # (ne, 2, 2) its inverse
+    element_inverse: np.ndarray  # (ne, 2, 2) inverse of the affine map matrix [v1-v0, v2-v0]
     element_areas: np.ndarray    # (ne,) signed areas
 
     def __repr__(self):
@@ -210,7 +209,7 @@ def build_space(mesh, degree, dirichlet_tags=frozenset()):
     Binv[:, 1, 0] = -B[:, 1, 0] / det
     Binv[:, 1, 1] = B[:, 0, 0] / det
 
-    for arr in (conn, dof_coords, constrained, free_index, B, Binv):
+    for arr in (conn, dof_coords, constrained, free_index, Binv):
         arr.flags.writeable = False
     areas = 0.5 * det
     areas.flags.writeable = False
@@ -222,7 +221,6 @@ def build_space(mesh, degree, dirichlet_tags=frozenset()):
         constrained=constrained,
         free_index=free_index,
         dirichlet_tags=tags,
-        element_matrix=B,
         element_inverse=Binv,
         element_areas=areas,
     )

@@ -8,7 +8,9 @@ and field h together with their estimated orders of convergence. Error
 references are, depending on the mode, the manufactured exact solution,
 the next-finer solution (the coarse solution carried to the fine mesh by
 `multigrid.prolongation`), or the next-degree solution; error integration
-always uses a rule two degrees above the assembly rule.
+always uses a rule two degrees above the assembly rule, and the errors are
+`assembly.l2_norm`s against that rule's measure from
+`assembly.fields_at_quadrature` (physical on a mapped problem).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import assembly, geometry, multigrid, solver
 from .femspace import CoefficientVector
 from .materials import NU0, LinearLaw, brauer_reference
 from .mesh import Mesh, generate_unit_square, refine_uniform, with_region_tags
-from .quadrature import mapped_points, rule_for_degree
+from .quadrature import rule_for_degree
 
 ERROR_MODES = ("manufactured-exact", "successive-refinement", "successive-degree")
 
@@ -104,19 +106,6 @@ def problem_at_level(benchmark, level, order=None):
         js_density=benchmark.js_density,
         domain_map=benchmark.domain_map,
     )
-
-
-def _l2_norm(problem, rule, values):
-    """L2 norm of (ne, nq[, 2]) samples at `rule`'s points, over the
-    physical domain: weighted by J on a mapped problem."""
-    sq = values * values
-    if sq.ndim == 3:
-        sq = sq.sum(axis=2)
-    if problem.domain_map is not None:
-        points = mapped_points(problem.mesh, rule.points).reshape(-1, 2)
-        sq *= problem.domain_map.jacobians(points)[1].reshape(sq.shape)
-    areas = np.abs(problem.mesh.signed_areas())
-    return float(np.sqrt((sq @ rule.weights) @ areas))
 
 
 def _error_rule(order):
@@ -237,34 +226,34 @@ def _tabulate(results, errors):
     ]
 
 
-def _relative_errors(problem, rule, fields, reference):
+def _relative_errors(wq, fields, reference):
     """Relative L2 errors (err_b, err_h) of sampled (b, h) against the reference's."""
     return tuple(
-        _l2_norm(problem, rule, x - x_ref) / _l2_norm(problem, rule, x_ref)
+        assembly.l2_norm(wq, x - x_ref) / assembly.l2_norm(wq, x_ref)
         for x, x_ref in zip(fields, reference)
     )
 
 
 def _manufactured_errors(benchmark, problem, coeffs, rule):
-    pts, b_h, h_h = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
+    pts, wq, b_h, h_h = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
     flat = pts.reshape(-1, 2)
     b_ex = np.asarray(benchmark.exact_flux(flat), float).reshape(b_h.shape)
     h_ex = assembly._material_apply(problem, "dw", b_ex, pts)
-    return _relative_errors(problem, rule, (b_h, h_h), (b_ex, h_ex))
+    return _relative_errors(wq, (b_h, h_h), (b_ex, h_ex))
 
 
 def _refinement_errors(coarse_p, coarse_c, fine_p, fine_c, rule):
     """The coarse solution against the fine one, both on the fine mesh."""
     P = multigrid.prolongation(fine_p.space, coarse_p.space)
     coarse_on_fine = CoefficientVector(fine_p.space, P @ coarse_c.values)
-    _, *fields = assembly.fields_at_quadrature(fine_p, coarse_on_fine, fine_c, rule=rule)
-    return _relative_errors(fine_p, rule, fields[:2], fields[2:])
+    _, wq, *fields = assembly.fields_at_quadrature(fine_p, coarse_on_fine, fine_c, rule=rule)
+    return _relative_errors(wq, fields[:2], fields[2:])
 
 
 def _degree_errors(problem, coeffs, problem2, coeffs2, rule):
-    _, *low = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
-    _, *high = assembly.fields_at_quadrature(problem2, coeffs2, rule=rule)
-    return _relative_errors(problem, rule, low, high)
+    _, wq, *low = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
+    _, _, *high = assembly.fields_at_quadrature(problem2, coeffs2, rule=rule)
+    return _relative_errors(wq, low, high)
 
 
 def write_study_csv(rows, path, aborted=None):

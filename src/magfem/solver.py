@@ -164,6 +164,7 @@ class NewtonReport:
     tau_floor: float = None
     failure: str = None
     preconditioner: dict = None  # CGInfo.describe() of the first inner solve
+    problem: dict = None  # Problem.describe() of the solved problem
 
     @property
     def n_iterations(self):
@@ -175,6 +176,7 @@ class NewtonReport:
     def to_json(self, config=None, indent=2):
         doc = {
             "config": asdict(config) if config is not None else None,
+            "problem": self.problem,
             "certified": {
                 "gamma": self.gamma,
                 "lipschitz": self.lipschitz,
@@ -482,6 +484,7 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         final_residual_norm=res_norm,
         failure=failure,
         preconditioner=preconditioner,
+        problem=problem.describe(),
         **_certified(problem, cfg),
     )
     return CoefficientVector(space, vec), report

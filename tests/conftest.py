@@ -133,9 +133,16 @@ def piola_curls(problem, rule):
     curls = tabulate_curl(problem.space, rule)
     if problem.domain_map is None:
         return curls
-    ne, nq = curls.shape[:2]
+    F, J = map_jacobians(problem, rule)
+    return np.einsum("eqij,eqlj->eqli", F, curls) / J[..., None, None]
+
+
+def map_jacobians(problem, rule):
+    """Oracle for a mapped Problem's F (ne, nq, 2, 2) and J = det F (ne, nq)
+    at `rule`'s points, from the domain map itself rather than from `wq`."""
+    ne, nq = problem.mesh.num_triangles, len(rule.weights)
     F, J = problem.domain_map.jacobians(mapped_points(problem.mesh, rule.points).reshape(-1, 2))
-    return np.einsum("eqij,eqlj->eqli", F.reshape(ne, nq, 2, 2), curls) / J.reshape(ne, nq, 1, 1)
+    return F.reshape(ne, nq, 2, 2), J.reshape(ne, nq)
 
 
 def galerkin_oracle(matrix, levels):

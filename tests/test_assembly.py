@@ -17,7 +17,7 @@ from magfem import assembly
 from magfem.femspace import CoefficientVector, build_space, tabulate_curl, tabulate_values
 from magfem.materials import NU0
 
-from conftest import integrate_against_curls, piola_curls, rng
+from conftest import integrate_against_curls, map_jacobians, piola_curls, rng
 
 BRAUER_W0 = 3.8 / (2 * 2.17)  # profile value at zero field
 
@@ -71,17 +71,6 @@ def test_missing_material_rejected():
 def test_both_sources_rejected():
     with pytest.raises(ProblemConfigError):
         _problem(mf.LinearLaw(1.0), hs=lambda x: np.zeros((len(x), 2)), js=lambda x: np.zeros(len(x)))
-
-
-def test_insufficient_quadrature_degree_rejected():
-    with pytest.raises(ProblemConfigError):
-        Problem(
-            mesh=mf.generate_unit_square(2),
-            order=2,
-            materials={1: mf.LinearLaw(1.0)},
-            dirichlet_tags=frozenset({1}),
-            quad_degree=2,
-        )
 
 
 def test_residual_is_energy_gradient(brauer_law):
@@ -178,9 +167,8 @@ def test_quadrature_terms_exact_for_polynomial_data():
         weights = wts
 
     curls = tabulate_curl(problem.space, _R)
-    mapped = np.einsum(
-        "nij,qj->nqi", problem.space.element_matrix, pts
-    ) + problem.mesh.vertices[problem.mesh.triangles[:, 0]][:, None, :]
+    barycentric = np.column_stack([1.0 - pts.sum(axis=1), pts])  # (nq, 3)
+    mapped = np.einsum("qk,nki->nqi", barycentric, problem.mesh.vertices[problem.mesh.triangles])
     hs_vals = hs(mapped.reshape(-1, 2)).reshape(mapped.shape)
     wq = wts[None, :] * problem.space.element_areas[:, None]
     cell = np.einsum("eq,eqi,eqli->el", wq, hs_vals, curls)
@@ -377,12 +365,13 @@ def test_fields_of_several_vectors_match_one_at_a_time(small_brauer_problem, own
         for _ in range(2)
     ]
     together = mf.fields_at_quadrature(problem, *vectors, rule=rule)
-    assert len(together) == 5
+    assert len(together) == 6
     for k, v in enumerate(vectors):
-        pts, b, h = mf.fields_at_quadrature(problem, v, rule=rule)
+        pts, wq, b, h = mf.fields_at_quadrature(problem, v, rule=rule)
         assert np.array_equal(together[0], pts)
-        assert np.array_equal(together[1 + 2 * k], b)
-        assert np.array_equal(together[2 + 2 * k], h)
+        assert np.array_equal(together[1], wq)
+        assert np.array_equal(together[2 + 2 * k], b)
+        assert np.array_equal(together[3 + 2 * k], h)
 
 
 def test_newton_does_not_assemble_unit_stiffness(small_brauer_problem, monkeypatch):
@@ -587,7 +576,7 @@ def _sampled_energy_and_residual(problem, coeffs):
     if hs is not None:
         integrand = integrand - np.sum(hs * b, axis=2)
         h = h - hs
-    jac = 1.0 if problem.jacobian is None else problem.jacobian
+    jac = 1.0 if problem.domain_map is None else map_jacobians(problem, problem.rule)[1]
     energy = float(((jac * integrand) @ weights) @ areas)
     cell = integrate_against_curls(problem.curls, problem.wq[..., None] * h)
     if js is not None:

@@ -483,6 +483,23 @@ def test_solve_unknown_map_key_is_usage_error(tmp_path, capsys, section, key):
     assert set(cli.MAP_KEYS) == set(geometry.BUILTIN_MAPS)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("dirichlet_tags = 1", "dirichlet_tag = 2", "[problem] unknown key dirichlet_tag"),
+        ("region.1 = 2000.0", "region.1 = 2000.0\nregoin.2 = 3", "[source] unknown key regoin.2"),
+        ("form = js", "form = js\nhs_x = 1.0", "[source] unknown key hs_x for form 'js'"),
+        ("region.1 = 2000.0", "region.1 = 2000.0\nregion.9 = 1e5", "[source] region.9: no triangle"),
+    ],
+)
+def test_solve_unknown_problem_or_source_key_is_usage_error(tmp_path, capsys, old, new, message):
+    # the unit square carries region 1 only, so region.9 names no triangle
+    cfg = _write(tmp_path, "run.ini", JS_CONFIG.replace(old, new))
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "t.json")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_material_check_missing_required_param_names_it(capsys):
     code = main(["material-check", "--material", "anisotropic", "--params", "n22=2"])
     assert code == EXIT_USAGE

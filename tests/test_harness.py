@@ -162,7 +162,7 @@ def test_parent_evaluation_exact_on_unstructured_mesh():
     rule = rule_for_degree(4)
     P = prolongation(fine_problem.space, problem.space)
     on_fine = CoefficientVector(fine_problem.space, P @ coeffs.values)
-    _, got, _ = assembly.fields_at_quadrature(fine_problem, on_fine, rule=rule)
+    _, _, got, _ = assembly.fields_at_quadrature(fine_problem, on_fine, rule=rule)
     pts = mapped_points(fine, rule.points).reshape(-1, 2)
     exact = np.column_stack([-pts[:, 0] + 0.1, -(0.6 * pts[:, 0] - pts[:, 1])])
     assert np.allclose(got.reshape(-1, 2), exact, atol=1e-12)
@@ -274,9 +274,9 @@ def test_reference_refinement_error_monotonicity():
     b_coarse = femspace.eval_curl_batch(
         coarse_p.space, coarse_c, np.repeat(idx, nq), ref.reshape(-1, 2)
     ).reshape(ne, nq, 2)
-    _, b_fine, _ = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
-    num = harness._l2_norm(fine_p, rule, b_coarse - b_fine)
-    den = harness._l2_norm(fine_p, rule, b_fine)
+    _, wq, b_fine, _ = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
+    num = assembly.l2_norm(wq, b_coarse - b_fine)
+    den = assembly.l2_norm(wq, b_fine)
     e02 = num / den
     assert e01 <= 1.05 * e02
 
@@ -300,9 +300,9 @@ def test_refinement_errors_tabulate_the_fine_level_once(monkeypatch):
 
     P = multigrid.prolongation(fine_p.space, coarse_p.space)
     on_fine = mf.CoefficientVector(fine_p.space, P @ coarse_c.values)
-    _, *coarse = assembly.fields_at_quadrature(fine_p, on_fine, rule=rule)
-    _, *fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
-    assert got == harness._relative_errors(fine_p, rule, coarse, fine)
+    _, wq, *coarse = assembly.fields_at_quadrature(fine_p, on_fine, rule=rule)
+    _, _, *fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
+    assert got == harness._relative_errors(wq, coarse, fine)
 
 
 def test_study_abort_carries_partial_rows():
@@ -446,7 +446,7 @@ def test_annulus_benchmarks_match():
     assert np.abs(pa.load - pd.load).max() <= 1e-13 * np.abs(pd.load).max()
     ca, _ = mf.newton_solve(pa)
     cd, _ = mf.newton_solve(pd)
-    _, ba, _, bd, _ = assembly.fields_at_quadrature(pd, ca, cd)
-    num = harness._l2_norm(pd, pd.rule, ba - bd)
-    den = harness._l2_norm(pd, pd.rule, bd)
+    _, wq, ba, _, bd, _ = assembly.fields_at_quadrature(pd, ca, cd)
+    num = assembly.l2_norm(wq, ba - bd)
+    den = assembly.l2_norm(wq, bd)
     assert num / den <= 1e-10

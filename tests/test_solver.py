@@ -295,8 +295,9 @@ def test_newton_stops_on_ascent_direction(small_brauer_problem, reversed_newton_
 
 def _below_rounding_problem(brauer_law):
     # a file mesh (no parent, so multigrid over the P3 -> P1 step alone) on which
-    # the last full Newton step's decrease, about 1e-19, is far below ulp(W) ~ 1e-16
-    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(5))))
+    # the last full Newton step's decrease, about 3e-19, is far below ulp(W) ~ 1e-16,
+    # and on which the rounding of that step's trial energy makes it rise
+    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(6))))
     return mf.Problem(
         mesh=mesh,
         order=2,
@@ -509,6 +510,10 @@ def test_report_json_round_trip(small_brauer_problem):
     assert [rec["cg_stopped_by"] for rec in doc["iterations"]] == [
         rec.cg_stopped_by for rec in report.iterations
     ]
+    problem = small_brauer_problem
+    assert doc["problem"] == {
+        "ne": 128, "n_free": problem.space.n_free, "order": 1, "quad_degree": 2, "regions": [1],
+    }
 
 
 def test_fixed_point_report_serializes_full_steps(small_brauer_problem):

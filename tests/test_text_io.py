@@ -120,7 +120,7 @@ def old_parse_mesh(text):
 
 
 def old_write_fields_csv(problem, coeffs, path):
-    pts, b, h = assembly.fields_at_quadrature(problem, coeffs)
+    pts, _, b, h = assembly.fields_at_quadrature(problem, coeffs)
     ne, nq, _ = pts.shape
     with open(path, "w") as f:
         f.write("element,qpoint,x,y,bx,by,hx,hy\n")
