@@ -26,8 +26,8 @@ around a distance-2 maximal independent set (Bell-Dalton-Olson, SIAM J.
 Sci. Comput. 34, 2012), and a piecewise-constant tentative prolongator
 smoothed by one damped-Jacobi step; their Galerkin operators are sparse
 products. A file mesh, which has no parent, thus gets the P_p -> P1 step
-and algebraic levels below it. The coarsest operator is solved through the
-inverse of its Cholesky factor.
+and algebraic levels below it. The cap keeps the coarsest operator small
+enough that numpy's inverse of its Cholesky factor costs little.
 """
 
 from __future__ import annotations
@@ -41,11 +41,8 @@ from .assembly import _csr_pattern
 from .femspace import _reference_nodes, _shape_values, build_space
 from .mesh import child_reference_map, meshes_equal
 
-#: Largest operator factored densely (1.3 MB); larger ones get algebraic levels.
-MAX_COARSE_DOFS = 400
-
-#: Size of the diagonal blocks inverted together in `_lower_inverse`.
-_BLOCK = 8
+#: Largest operator factored densely (80 kB); larger ones get algebraic levels.
+MAX_COARSE_DOFS = 100
 
 #: Damped-Jacobi weight and sweeps per smoothing.
 OMEGA = 0.6
@@ -240,32 +237,6 @@ def aggregation_prolongation(A):
     return T - AT
 
 
-def _lower_inverse(L):
-    """Inverse of the lower-triangular matrix L, from matrix products.
-
-    The diagonal blocks of _BLOCK rows (the last one padded with the
-    identity) are inverted together by row substitution, then block row k
-    of the inverse is -D_k^-1 (L[k, :k] X[:k, :k]).
-    """
-    n = len(L)
-    nb = -(-n // _BLOCK)
-    padded = np.eye(nb * _BLOCK)
-    padded[:n, :n] = L
-    blocks = np.arange(nb)
-    diag = padded.reshape(nb, _BLOCK, nb, _BLOCK)[blocks, :, blocks]  # (nb, _BLOCK, _BLOCK)
-    inv = np.zeros_like(diag)
-    for i in range(_BLOCK):
-        inv[:, i, :i] = -(diag[:, i, None, :i] @ inv[:, :i, :i])[:, 0] / diag[:, i, i, None]
-        inv[:, i, i] = 1.0 / diag[:, i, i]
-    X = np.zeros_like(padded)
-    for k in blocks:
-        rows = slice(k * _BLOCK, (k + 1) * _BLOCK)
-        head = k * _BLOCK
-        X[rows, rows] = inv[k]
-        X[rows, :head] = -inv[k] @ (padded[rows, :head] @ X[:head, :head])
-    return X[:n, :n]
-
-
 class VCycle:
     """One V(2,2) cycle with damped Jacobi smoothing as an SPD preconditioner.
 
@@ -273,13 +244,14 @@ class VCycle:
     geometric `levels` of `hierarchy`, finest first (from the assembly
     kernel). Below the last one, smoothed-aggregation levels follow while
     the operator has more than MAX_COARSE_DOFS rows, with Galerkin
-    products P^T A P. The coarsest operator A = L L^T is solved exactly as
-    L^-T (L^-1 r), with `inverse_factor` = L^-1. Where aggregation stalls
+    products P^T A P. The coarsest operator A = L L^T, at most
+    MAX_COARSE_DOFS rows, is solved exactly as L^-T (L^-1 r), with
+    `inverse_factor` = L^-1 from `np.linalg.inv`. Where aggregation stalls
     (no strong couplings left) above MAX_COARSE_DOFS rows, no dense matrix
     is formed (`inverse_factor` is None): that operator is smoothed as one
     more level, whose coarsest "solve" is its own weighted-Jacobi step W r.
-    W is SPD, so the cycle stays SPD. Every operator must have a positive diagonal; a
-    coarsest operator that is not positive definite raises
+    W is SPD, so the cycle stays SPD. Every operator must have a positive
+    diagonal; a coarsest operator that is not positive definite raises
     np.linalg.LinAlgError. `diagonal` is the finest operator's diagonal
     when the caller already has it.
     """
@@ -307,7 +279,7 @@ class VCycle:
             self.levels.append((A, _smoother_weights(A), None, None))
             self.inverse_factor = None
         else:
-            self.inverse_factor = _lower_inverse(np.linalg.cholesky(A.toarray()))
+            self.inverse_factor = np.linalg.inv(np.linalg.cholesky(A.toarray()))
 
     @property
     def sizes(self):

@@ -39,12 +39,13 @@ refinement levels.
 
 Each solve builds a multigrid V-cycle (see `multigrid`): P_p levels
 over the `refine_uniform` hierarchy, the P_p -> P1 step on the base mesh,
-and smoothed-aggregation levels below a large P1 space, so that CG
-iteration counts stay flat under refinement on generated and file meshes
-alike. The hierarchy is built once per solve; each step's Hessian
-assembly also sums its Galerkin operators on the geometric levels from
-the element matrices, and the coarsest level is solved through its
-Cholesky factor. Jacobi remains where no coarser space exists (P1 on a
+and smoothed-aggregation levels below any P1 space over
+`multigrid.MAX_COARSE_DOFS` rows, so that CG iteration counts stay flat
+under refinement on generated and file meshes alike. The hierarchy is
+built once per solve; each step's Hessian assembly also sums its Galerkin
+operators on the geometric levels from the element matrices, and the
+small coarsest level is solved through the inverse of its Cholesky
+factor. Jacobi remains where no coarser space exists (P1 on a
 mesh without a parent) or the system is singular (no constrained dof);
 Newton then takes the constants out of each right-hand side
 (`newton_solve`).

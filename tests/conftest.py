@@ -293,6 +293,7 @@ def zarantonello_solve(problem, tau, a0=None, cfg=solver.NewtonConfig()):
         contraction_ratios=ratios,
         failure=failure,
         preconditioner=preconditioner,
+        problem=problem.describe(),
         **certified,
     )
     return coeffs, report

@@ -526,6 +526,7 @@ def test_fixed_point_report_serializes_full_steps(small_brauer_problem):
     assert [rec["accepted_by"] for rec in doc["iterations"]] == ["full"] * 3  # no line search
     assert doc["failure"] == "max_iter"
     assert doc["config"]["max_iter"] == 3
+    assert doc["problem"] == small_brauer_problem.describe()
 
 
 # -- Zarantonello --------------------------------------------------------------

@@ -6,8 +6,10 @@ A change that moves rounding moves telemetry bits, so ``diff -r`` of two
 trees says only that they differ. This script says by how much. For
 every telemetry JSON (a file with ``iterations``) present in both trees
 it prints the Newton iterations, the total inner CG iterations, the
-relative difference of the final energies and the number of recorded
-energy rises (consecutive energies with b > a), each as A -> B. For every
+relative difference of the final energies, the number of recorded
+energy rises (consecutive energies with b > a) and the row counts of the
+preconditioner's levels (``preconditioner.levels``, so a change of
+coarsening is named, not only seen in the CG totals), each as A -> B. For every
 CSV present in both trees it prints whether the bytes differ and the
 largest relative change of ``err_b`` and ``err_h`` over the rows. Other
 files are compared by bytes. A summary closes the report; ``--json``
@@ -35,7 +37,8 @@ def rel_diff(a, b):
 
 
 def telemetry(path):
-    """(newton iterations, CG total, final energy, rises), or None if not telemetry."""
+    """(newton iterations, CG total, final energy, rises, preconditioner levels),
+    or None if not telemetry."""
     try:
         doc = json.loads(path.read_text())
     except ValueError:
@@ -44,7 +47,9 @@ def telemetry(path):
         return None
     its = doc["iterations"]
     energies = [rec["energy"] for rec in its] + [doc["final"]["energy"]]
-    return doc["n_iterations"], sum(rec["cg_iters"] for rec in its), energies[-1], rises(energies)
+    levels = (doc.get("preconditioner") or {}).get("levels")
+    return (doc["n_iterations"], sum(rec["cg_iters"] for rec in its), energies[-1],
+            rises(energies), levels)
 
 
 def csv_errors(path):
@@ -75,6 +80,7 @@ def compare(a_root, b_root):
                 "cg": [ta[1], tb[1]],
                 "final_energy_rel_diff": rel_diff(ta[2], tb[2]),
                 "rises": [ta[3], tb[3]],
+                "levels": [ta[4], tb[4]],
             }
         elif rel.suffix == ".csv" and rel.name.startswith("study_"):
             ea, eb = csv_errors(a), csv_errors(b)
@@ -93,6 +99,7 @@ def compare(a_root, b_root):
         "telemetry_identical": sum(t["identical"] for t in tel),
         "newton_differs": sum(t["newton"][0] != t["newton"][1] for t in tel),
         "cg_differs": sum(t["cg"][0] != t["cg"][1] for t in tel),
+        "levels_differ": sum(t["levels"][0] != t["levels"][1] for t in tel),
         "max_final_energy_rel_diff": max((t["final_energy_rel_diff"] for t in tel), default=0.0),
         "rises": [sum(t["rises"][0] for t in tel), sum(t["rises"][1] for t in tel)],
         "study_csvs": len(csvs),
@@ -106,11 +113,13 @@ def print_text(report):
     for name in ("only_in_a", "only_in_b", "other_differing"):
         for rel in report[name]:
             print(f"{name}: {rel}")
-    print("telemetry: newton A -> B, cg A -> B, final energy rel diff, rises A -> B")
+    print("telemetry: newton A -> B, cg A -> B, final energy rel diff, rises A -> B, "
+          "levels A -> B")
     for rel, t in report["telemetry"].items():
         flag = "" if t["identical"] else "  *"
         print(f"  {rel}: {t['newton'][0]} -> {t['newton'][1]}, {t['cg'][0]} -> {t['cg'][1]}, "
-              f"{t['final_energy_rel_diff']:.3g}, {t['rises'][0]} -> {t['rises'][1]}{flag}")
+              f"{t['final_energy_rel_diff']:.3g}, {t['rises'][0]} -> {t['rises'][1]}, "
+              f"{t['levels'][0]} -> {t['levels'][1]}{flag}")
     print("study CSVs: identical, largest relative err_b/err_h change")
     for rel, c in report["csv"].items():
         rows = "" if c["rows_match"] else ", ROWS DIFFER"
