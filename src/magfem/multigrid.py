@@ -26,8 +26,13 @@ around a distance-2 maximal independent set (Bell-Dalton-Olson, SIAM J.
 Sci. Comput. 34, 2012), and a piecewise-constant tentative prolongator
 smoothed by one damped-Jacobi step; their Galerkin operators are sparse
 products. A file mesh, which has no parent, thus gets the P_p -> P1 step
-and algebraic levels below it. The cap keeps the coarsest operator small
-enough that numpy's inverse of its Cholesky factor costs little.
+(none for P1) and algebraic levels below it. The cap keeps the coarsest
+operator small enough that numpy's inverse of its Cholesky factor costs
+little. Without a constrained dof, every prolongation maps constants to
+constants, so every Galerkin operator keeps the constants as its kernel
+and only the coarsest solve needs care (Bochev-Lehoucq, SIAM Review 47,
+2005): it factors A_c + c 1 1^T / n_c, c the mean diagonal, and the
+cycle's output has its mean removed.
 """
 
 from __future__ import annotations
@@ -153,13 +158,9 @@ def hierarchy(space):
 
     One P_p step per refinement down to the base mesh, the mesh without a
     parent, then P_p -> P1 on the base mesh when p > 1; `VCycle` adds
-    algebraic levels below the last space. Empty, so that CG falls back
-    to Jacobi, when no coarser space exists (P1 on a mesh without a
-    parent) or no dof is constrained (the coarse operators would be
-    singular).
+    algebraic levels below the last space. Empty for P1 on a mesh without
+    a parent, where `VCycle`'s algebraic levels are the whole hierarchy.
     """
-    if not space.constrained.any():
-        return ()
     spaces = [space]
     while spaces[-1].mesh.parent is not None:
         spaces.append(build_space(spaces[-1].mesh.parent, space.degree, space.dirichlet_tags))
@@ -253,10 +254,11 @@ class VCycle:
     W is SPD, so the cycle stays SPD. Every operator must have a positive
     diagonal; a coarsest operator that is not positive definite raises
     np.linalg.LinAlgError. `diagonal` is the finest operator's diagonal
-    when the caller already has it.
+    when the caller already has it. A `singular` operator, whose kernel is
+    the constants, gets the mean-free cycle of the module docstring.
     """
 
-    def __init__(self, operators, levels, diagonal=None):
+    def __init__(self, operators, levels, diagonal=None, singular=False):
         if len(operators) != len(levels) + 1:
             raise ValueError(f"{len(operators)} operators for {len(levels)} levels")
         diagonals = [diagonal] + [None] * len(levels)
@@ -278,8 +280,10 @@ class VCycle:
             # no coarser one below it
             self.levels.append((A, _smoother_weights(A), None, None))
             self.inverse_factor = None
-        else:
-            self.inverse_factor = np.linalg.inv(np.linalg.cholesky(A.toarray()))
+        else:  # a singular A's kernel, the constants, lifted by c 1 1^T / n_c
+            lift = np.mean(A.diagonal()) / A.shape[0] if singular else 0.0
+            self.inverse_factor = np.linalg.inv(np.linalg.cholesky(A.toarray() + lift))
+        self.singular = singular
 
     @property
     def sizes(self):
@@ -288,7 +292,8 @@ class VCycle:
         return sizes if self.inverse_factor is None else sizes + [len(self.inverse_factor)]
 
     def __call__(self, r):
-        return self._cycle(0, r)
+        x = self._cycle(0, r)
+        return x - x.mean() if self.singular else x
 
     def _cycle(self, level, r):
         if level == len(self.levels):

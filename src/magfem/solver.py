@@ -37,18 +37,13 @@ Stopping tolerances are relative to the first iteration's residual norm
 and increment norm, which keeps iteration counts comparable across mesh
 refinement levels.
 
-Each solve builds a multigrid V-cycle (see `multigrid`): P_p levels
-over the `refine_uniform` hierarchy, the P_p -> P1 step on the base mesh,
-and smoothed-aggregation levels below any P1 space over
-`multigrid.MAX_COARSE_DOFS` rows, so that CG iteration counts stay flat
-under refinement on generated and file meshes alike. The hierarchy is
-built once per solve; each step's Hessian assembly also sums its Galerkin
-operators on the geometric levels from the element matrices, and the
-small coarsest level is solved through the inverse of its Cholesky
-factor. Jacobi remains where no coarser space exists (P1 on a
-mesh without a parent) or the system is singular (no constrained dof);
-Newton then takes the constants out of each right-hand side
-(`newton_solve`).
+Every inner solve is preconditioned by a multigrid V-cycle (see
+`multigrid`): the geometric levels of `multigrid.hierarchy`, built once
+per solve and assembled with each step's Hessian, and algebraic levels
+below them, so CG iteration counts stay flat under refinement on every
+space. Without a constrained dof the system is singular along the
+constants: Newton takes them out of each right-hand side, and the cycle
+keeps its output mean-free.
 """
 
 from __future__ import annotations
@@ -203,23 +198,23 @@ class CGInfo:
     iterations: int
     converged: bool
     residual_norm: float
-    preconditioner: str  # "multigrid" or "jacobi"
     levels: tuple        # operator rows per level, finest first; () if none was built
     stopped_by: str      # "tolerance", "floor" (rounding floor) or "budget" (max_iter)
+    preconditioner: str = "multigrid"  # the one kind
 
     def describe(self):
         """The preconditioner and its level rows, as reports carry them."""
         return {"kind": self.preconditioner, "levels": list(self.levels)}
 
 
-def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
+def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=(), singular=False):
     """Preconditioned conjugate gradients for an SPD sparse system.
 
     The preconditioner is a multigrid V-cycle over the geometric `levels`
     (from `multigrid.hierarchy`), whose Galerkin operators of `matrix` are
     `coarse` (from `assembly.assemble_hessian` with those levels), and the
-    algebraic levels `multigrid.VCycle` adds below them; or Jacobi when
-    there are no levels.
+    algebraic levels `multigrid.VCycle` adds below them. A `singular`
+    matrix has the constants as its kernel, and `rhs` must be mean-free.
     CGInfo names the preconditioner and the rows of its levels.
 
     Iterates until the recursive residual satisfies
@@ -236,27 +231,18 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
     n = matrix.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     b_norm = float(np.linalg.norm(rhs))
-    kind = "multigrid" if levels else "jacobi"
     if n == 0 or b_norm == 0.0:
-        return np.zeros(n), CGInfo(0, True, 0.0, kind, (), "tolerance")
+        return np.zeros(n), CGInfo(0, True, 0.0, (), "tolerance")
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(1000, 5 * n)
     tol = cfg.rel_tol * b_norm
 
     diag = matrix.diagonal()
     if np.any(diag <= 0):
         raise SolverError("matrix diagonal not positive; not SPD")
-    if levels:
-        try:
-            precondition = multigrid.VCycle((matrix, *coarse), levels, diagonal=diag)
-        except np.linalg.LinAlgError:
-            raise SolverError("coarse operator not positive definite; not SPD") from None
-        sizes = tuple(precondition.sizes)
-    else:
-        sizes = (n,)
-        inv_diag = 1.0 / diag
-
-        def precondition(r):
-            return r * inv_diag
+    try:
+        precondition = multigrid.VCycle((matrix, *coarse), levels, diagonal=diag, singular=singular)
+    except np.linalg.LinAlgError:
+        raise SolverError("coarse operator not positive definite; not SPD") from None
 
     x = np.zeros(n)
     r = rhs.copy()
@@ -299,7 +285,8 @@ def solve_cg(matrix, rhs, cfg=CGConfig(), levels=(), coarse=()):
         true_res = float(np.linalg.norm(rhs - matrix @ x))
         if true_res <= tol:
             stopped_by = "tolerance"
-    return x, CGInfo(iterations, stopped_by == "tolerance", true_res, kind, sizes, stopped_by)
+    sizes = tuple(precondition.sizes)
+    return x, CGInfo(iterations, stopped_by == "tolerance", true_res, sizes, stopped_by)
 
 
 def _certified(problem, cfg):
@@ -353,10 +340,11 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
     non-converged report, and so does a non-finite residual norm, energy,
     Newton direction or trial energy (failure "non_finite") and a
     direction along which the energy does not descend (failure
-    "linear_solve", before any backtracking). Passing a list as `history` collects a copy of every
-    iterate's free-dof vector (initial value included). Without a
-    constrained dof the Hessian is singular along the constants, so each
-    right-hand side has its mean taken out before the inner solve.
+    "linear_solve", before any backtracking). Passing a list as `history`
+    collects a copy of every iterate's free-dof vector (initial value
+    included). Without a constrained dof the Hessian is singular along the
+    constants, so each right-hand side has its mean taken out before the
+    inner solve, and a load along the constants fails as "linear_solve".
     """
     space = problem.space
     a = zero_coefficients(space) if a0 is None else a0
@@ -380,6 +368,8 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         res_floor = 64.0 * np.finfo(float).eps * assembly.residual_scale(
             problem, CoefficientVector(space, vec)
         )
+    # res . 1 = -load . 1 as Curl 1 = 0; its rounding reached 2 sqrt(n) res_floor at P4
+    inconsistent = singular and abs(res.sum()) > 1e6 * np.sqrt(res.size) * res_floor
     res_ref = None
     inc_ref = None
 
@@ -391,6 +381,9 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
             res_ref = res_norm
         if res_norm <= max(cfg.tol_residual * (res_ref or 0.0), res_floor):
             converged = True
+            break
+        if inconsistent:
+            failure = "linear_solve"
             break
         if n == cfg.max_iter:
             failure = "max_iter"
@@ -405,7 +398,8 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
         if singular:  # the rounding along the kernel would send CG into it
             rhs -= rhs.mean()
         delta, cg_info = solve_cg(
-            hess, rhs, replace(cfg.cg, rel_tol=eta), levels=levels, coarse=coarse
+            hess, rhs, replace(cfg.cg, rel_tol=eta), levels=levels, coarse=coarse,
+            singular=singular,
         )
         preconditioner = preconditioner or cg_info.describe()
         del hess, coarse  # not alive through the next step's assembly peak

@@ -16,6 +16,7 @@ from math import factorial  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest
+from scipy.sparse.linalg import spsolve
 from scipy.special import roots_jacobi, roots_legendre
 
 import magfem as mf
@@ -143,6 +144,21 @@ def map_jacobians(problem, rule):
     ne, nq = problem.mesh.num_triangles, len(rule.weights)
     F, J = problem.domain_map.jacobians(mapped_points(problem.mesh, rule.points).reshape(-1, 2))
     return F.reshape(ne, nq, 2, 2), J.reshape(ne, nq)
+
+
+def direct_newton_solve(monkeypatch, problem):
+    """`newton_solve` with every inner solve direct (scipy's `spsolve`), the
+    reference of the multigrid-preconditioned CG solves. Reports name the
+    preconditioner "direct"."""
+
+    def direct(matrix, rhs, *args, **kwargs):  # the tolerance and levels go unused
+        x = spsolve(matrix.tocsc(), rhs)
+        residual = float(np.linalg.norm(rhs - matrix @ x))
+        return x, solver.CGInfo(0, True, residual, (matrix.shape[0],), "tolerance", "direct")
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "solve_cg", direct)
+        return solver.newton_solve(problem)
 
 
 def galerkin_oracle(matrix, levels):

@@ -239,7 +239,8 @@ def test_solve_without_dirichlet_boundary_converges(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["converged"]
-    assert doc["preconditioner"] == {"kind": "jacobi", "levels": [25]}
+    # 25 free dofs: the coarsest solve alone, with no smoothed level
+    assert doc["preconditioner"] == {"kind": "multigrid", "levels": [25]}
     assert "jacobi" not in doc["config"]["cg"]
 
 

@@ -1,4 +1,4 @@
-"""Multigrid: prolongations, algebraic levels, V-cycle, Jacobi fallbacks."""
+"""Multigrid: prolongations, algebraic levels, V-cycle, singular systems."""
 
 import os
 import pathlib
@@ -14,15 +14,16 @@ import magfem as mf
 from magfem import assembly, harness, multigrid, solver
 from magfem.femspace import CoefficientVector, build_space
 
-from conftest import galerkin_oracle, interpolate
+from conftest import direct_newton_solve, galerkin_oracle, interpolate
 
 PROLONGATION_TOL = 1e-12      # relative, max-norm
 SYMMETRY_TOL = 1e-12          # relative to the largest preconditioner entry
 SMOOTHER_BOUND = 2.0          # x += W (r - A x) converges iff lambda_max(W A) < 2
 MAX_CG_PER_NEWTON_STEP = 20   # manufactured k=1, levels 1-3
-SAME_SOLUTION_TOL = 1e-10     # relative curl norm, multigrid vs Jacobi
+SAME_SOLUTION_TOL = 1e-10     # relative curl norm, multigrid vs direct inner solves
 BASE_P1_DOFS_40 = 39 * 39     # interior vertices of generate_unit_square(40)
 MAX_CG_PER_SOLVE_PARSED = 30  # P2 on parsed unit squares, n = 16-128 (measured 12-25)
+MAX_CG_PER_NEWTON_STEP_FLAT = 30  # singular P2 and parsed P1, Brauer (measured 13-23)
 
 
 def _dirichlet_on_line(mesh):
@@ -179,11 +180,15 @@ def test_cg_iterations_stay_flat_under_refinement():
         assert max(rec.cg_iters for rec in report.iterations) <= MAX_CG_PER_NEWTON_STEP
 
 
-def _solve(mesh, order, dirichlet, law=None, **source):
-    problem = assembly.Problem(
+def _problem(mesh, order, dirichlet, law=None, **source):
+    return assembly.Problem(
         mesh=mesh, order=order, materials={1: law or mf.brauer_reference()},
         dirichlet_tags=frozenset(dirichlet), **source,
     )
+
+
+def _solve(mesh, order, dirichlet, law=None, **source):
+    problem = _problem(mesh, order, dirichlet, law, **source)
     coeffs, report = solver.newton_solve(problem)
     return problem, coeffs, report
 
@@ -196,17 +201,16 @@ def _source(x):
     return np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2])
 
 
-def _jacobi_solve(monkeypatch, mesh, order, dirichlet, **source):
-    """The same solve with Jacobi-PCG: no hierarchy, so no V-cycle is built."""
-    with monkeypatch.context() as m:
-        m.setattr(multigrid, "hierarchy", lambda space: ())
-        problem, coeffs, report = _solve(mesh, order, dirichlet, **source)
-    assert report.preconditioner["kind"] == "jacobi"
+def _direct_solve(monkeypatch, mesh, order, dirichlet, **source):
+    """The same solve with direct inner solves: no V-cycle is built."""
+    problem = _problem(mesh, order, dirichlet, **source)
+    coeffs, report = direct_newton_solve(monkeypatch, problem)
+    assert report.preconditioner["kind"] == "direct"
     return problem, coeffs, report
 
 
-def _assert_same_solution(problem, a_mg, a_jac):
-    diff = assembly.curl_norm(problem, a_mg.values - a_jac.values)
+def _assert_same_solution(problem, a_mg, a_direct):
+    diff = assembly.curl_norm(problem, a_mg.values - a_direct.values)
     assert diff <= SAME_SOLUTION_TOL * assembly.curl_norm(problem, a_mg.values)
 
 
@@ -218,9 +222,9 @@ def test_hierarchy_of_parsed_mesh_is_the_p_step(monkeypatch):
     assert [level.P.shape for level in steps] == [(225, 49)]
     assert report.converged
     assert report.preconditioner == {"kind": "multigrid", "levels": [225, 49]}
-    _, a_jac, report_jac = _jacobi_solve(monkeypatch, mesh, 1, {1}, hs_field=_field)
-    assert report_jac.converged
-    _assert_same_solution(problem, a_mg, a_jac)
+    _, a_direct, report_direct = _direct_solve(monkeypatch, mesh, 1, {1}, hs_field=_field)
+    assert report_direct.converged
+    _assert_same_solution(problem, a_mg, a_direct)
 
 
 def test_hierarchy_is_empty_for_parentless_p1():
@@ -228,16 +232,20 @@ def test_hierarchy_is_empty_for_parentless_p1():
     problem, _, report = _solve(mesh, 0, {1}, hs_field=_field)
     assert multigrid.hierarchy(problem.space) == ()
     assert report.converged
-    assert report.preconditioner == {"kind": "jacobi", "levels": [problem.space.n_free]}
+    # 49 free dofs, under the coarse cap: the V-cycle is the coarsest solve alone
+    assert problem.space.n_free == 49 <= multigrid.MAX_COARSE_DOFS
+    assert report.preconditioner == {"kind": "multigrid", "levels": [49]}
 
 
-def test_hierarchy_is_empty_without_constrained_dofs():
+def test_hierarchy_without_constrained_dofs_is_geometric():
     mesh = mf.refine_uniform(mf.generate_unit_square(4))
     # singular but consistent: Curl 1 = 0, so the load is orthogonal to the constants
     problem, _, report = _solve(mesh, 1, set(), mf.LinearLaw(1.0), hs_field=_source)
     assert not problem.space.constrained.any()
-    assert multigrid.hierarchy(problem.space) == ()
+    steps = multigrid.hierarchy(problem.space)
+    assert [level.P.shape for level in steps] == [(289, 81), (81, 25)]
     assert report.converged
+    assert report.preconditioner == {"kind": "multigrid", "levels": [289, 81, 25]}
 
 
 def test_base_over_the_coarse_cap_gets_algebraic_levels(monkeypatch):
@@ -253,12 +261,12 @@ def test_base_over_the_coarse_cap_gets_algebraic_levels(monkeypatch):
     assert len(vcycle.inverse_factor) <= multigrid.MAX_COARSE_DOFS
     assert report.converged
     assert report.preconditioner == {"kind": "multigrid", "levels": vcycle.sizes}
-    _, a_jac, report_jac = _jacobi_solve(monkeypatch, mesh, 0, {1}, **source)
-    assert report_jac.converged
-    _assert_same_solution(problem, a_mg, a_jac)
+    _, a_direct, report_direct = _direct_solve(monkeypatch, mesh, 0, {1}, **source)
+    assert report_direct.converged
+    _assert_same_solution(problem, a_mg, a_direct)
 
 
-def test_multigrid_and_jacobi_give_the_same_solution(monkeypatch):
+def test_multigrid_and_direct_solves_give_the_same_solution(monkeypatch):
     refined = harness.mesh_at_level(harness.manufactured_benchmark(base_n=4), 2)
     copy = mf.Mesh(
         refined.vertices, refined.triangles, refined.region_tag,
@@ -266,11 +274,11 @@ def test_multigrid_and_jacobi_give_the_same_solution(monkeypatch):
     )
     assert refined.parent is not None and copy.parent is None
     problem, a_mg, report_mg = _solve(refined, 1, {1}, hs_field=_field)
-    _, a_jac, report_jac = _jacobi_solve(monkeypatch, copy, 1, {1}, hs_field=_field)
+    _, a_direct, report_direct = _direct_solve(monkeypatch, copy, 1, {1}, hs_field=_field)
     assert multigrid.hierarchy(problem.space) != ()
-    assert report_mg.converged and report_jac.converged
-    assert report_mg.n_iterations == report_jac.n_iterations
-    _assert_same_solution(problem, a_mg, a_jac)
+    assert report_mg.converged and report_direct.converged
+    assert report_mg.n_iterations == report_direct.n_iterations
+    _assert_same_solution(problem, a_mg, a_direct)
 
 
 def test_indefinite_matrix_with_multigrid_raises_solver_error():
@@ -349,6 +357,23 @@ def test_cg_iterations_stay_bounded_on_parsed_meshes():
         assert report.converged
         assert report.preconditioner["kind"] == "multigrid"
         assert max(rec.cg_iters for rec in report.iterations) <= MAX_CG_PER_SOLVE_PARSED
+
+
+@pytest.mark.parametrize("case", ["singular", "parsed_p1"])
+def test_cg_per_newton_step_stays_flat_on_singular_and_parsed_p1_spaces(case):
+    # a Hessian singular along the constants (P2 with no Dirichlet tag) and
+    # P1 on a mesh without a parent: Jacobi-PCG doubled its count per refinement
+    for n in (4, 8, 16) if case == "singular" else (16, 32, 64):
+        if case == "singular":
+            problem = _problem(mf.refine_uniform(mf.generate_unit_square(n)), 1, set(),
+                               hs_field=_source)
+        else:
+            mesh = mf.parse_mesh(mf.serialize_mesh(mf.generate_unit_square(n)))
+            problem = _problem(mesh, 0, {1}, js_density={1: 1e5})
+        _, report = solver.newton_solve(problem)
+        assert report.converged
+        assert report.preconditioner["kind"] == "multigrid"
+        assert max(rec.cg_iters for rec in report.iterations) <= MAX_CG_PER_NEWTON_STEP_FLAT
 
 
 def test_algebraic_levels_import_no_scipy_linear_algebra():

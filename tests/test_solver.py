@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import magfem as mf
-from magfem import assembly, solver
+from magfem import assembly, multigrid, solver
 from magfem.femspace import CoefficientVector
 from magfem.harness import manufactured_benchmark, pm_toy_benchmark, problem_at_level
 
@@ -102,9 +102,24 @@ def test_cg_deterministic():
     assert np.array_equal(x1, x2)
 
 
-def test_cg_rejects_indefinite():
-    # a positive diagonal passes the Jacobi check; the second direction has p.Ap < 0
+class _IdentityCycle:
+    """A preconditioner that returns its input, in `multigrid.VCycle`'s place."""
+
+    def __init__(self, operators, levels, **kwargs):
+        self.sizes = [operators[0].shape[0]]
+
+    def __call__(self, r):
+        return r.copy()
+
+
+def test_cg_rejects_indefinite(monkeypatch):
+    # a positive diagonal passes the diagonal check, but the V-cycle's
+    # coarsest Cholesky factorization fails
     A = sp.csr_matrix([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(solver.SolverError, match="coarse operator not positive definite"):
+        mf.solve_cg(A, np.array([1.0, 0.0]))
+    # unpreconditioned, the second direction has p.Ap < 0
+    monkeypatch.setattr(multigrid, "VCycle", _IdentityCycle)
     with pytest.raises(solver.SolverError, match="not positive definite in CG"):
         mf.solve_cg(A, np.array([1.0, 0.0]))
 
@@ -165,26 +180,29 @@ def test_newton_zero_problem_converges_immediately():
     assert np.all(coeffs.values == 0.0)
 
 
-def _unconstrained_problem(brauer_law, **source):
+def _unconstrained_problem(brauer_law, n=4, order=1, **source):
     # no Dirichlet boundary: the potential is fixed only up to a constant
     return mf.Problem(
-        mesh=mf.refine_uniform(mf.generate_unit_square(4)),
-        order=1,
+        mesh=mf.refine_uniform(mf.generate_unit_square(n)),
+        order=order,
         materials={1: brauer_law},
         dirichlet_tags=frozenset(),
         **source,
     )
 
 
+def _consistent_field(x):
+    return np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2])
+
+
 def test_newton_converges_without_constrained_dofs(brauer_law):
     # consistent (Curl 1 = 0, so the load is orthogonal to the constants) but
     # singular: CG used to drift along the constants and meet p.Ap <= 0
-    problem = _unconstrained_problem(
-        brauer_law, hs_field=lambda x: np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2])
-    )
+    problem = _unconstrained_problem(brauer_law, hs_field=_consistent_field)
     _, report = mf.newton_solve(problem)
     assert report.converged
-    assert report.preconditioner == {"kind": "jacobi", "levels": [problem.space.n_free]}
+    # P2 on the refined and the base mesh, then P1 on the base mesh
+    assert report.preconditioner == {"kind": "multigrid", "levels": [289, 81, 25]}
     assert all(rec.cg_converged for rec in report.iterations)
 
 
@@ -193,6 +211,14 @@ def test_inconsistent_singular_problem_is_reported_not_raised(brauer_law):
     _, report = mf.newton_solve(_unconstrained_problem(brauer_law, js_density={1: 4e3}))
     assert not report.converged
     assert report.failure == "linear_solve"
+
+
+def test_consistent_singular_p4_problem_is_not_reported_inconsistent(brauer_law):
+    # on P4 the rounding of res . 1 adds up over the elements, to about
+    # 73 eps sqrt(n) times the residual's scale on this mesh
+    problem = _unconstrained_problem(brauer_law, n=8, order=3, hs_field=_consistent_field)
+    _, report = mf.newton_solve(problem)
+    assert report.converged
 
 
 def test_newton_from_nonzero_start_reaches_same_solution(small_brauer_problem):
@@ -295,8 +321,7 @@ def test_newton_stops_on_ascent_direction(small_brauer_problem, reversed_newton_
 
 def _below_rounding_problem(brauer_law):
     # a file mesh (no parent, so multigrid over the P3 -> P1 step alone) on which
-    # the last full Newton step's decrease, about 3e-19, is far below ulp(W) ~ 1e-16,
-    # and on which the rounding of that step's trial energy makes it rise
+    # the last full Newton step's decrease, about 3e-19, is far below ulp(W) ~ 1e-16
     mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(6))))
     return mf.Problem(
         mesh=mesh,
@@ -307,14 +332,45 @@ def _below_rounding_problem(brauer_law):
     )
 
 
+#: solver.ENERGY_ROUNDING, read before a test sets it to 0.
+ENERGY_ROUNDING = solver.ENERGY_ROUNDING
+
+
+def _solve_with_a_rising_trial(monkeypatch, problem, cfg=mf.NewtonConfig()):
+    """`newton_solve`, with the first trial energy that differs from the last
+    assembled energy by less than the energy's rounding forced one ulp above it.
+
+    Whether that trial's assembled energy rises, ties or falls is the rounding
+    of one sum on one mesh; forcing the rise makes Armijo reject the step on
+    any mesh, so the below-rounding path runs.
+    """
+    real = assembly.assemble_energy
+    energies, forced = [], []
+
+    def energy(problem, coeffs):
+        value = real(problem, coeffs)
+        last = energies[-1] if energies else None
+        if not forced and last is not None and abs(value - last) <= ENERGY_ROUNDING * abs(last):
+            value = np.nextafter(last, np.inf)
+            forced.append(value)
+        energies.append(value)
+        return value
+
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "assemble_energy", energy)
+        coeffs, report = mf.newton_solve(problem, cfg=cfg)
+    assert len(forced) == 1
+    return coeffs, report
+
+
 def test_line_search_below_energy_rounding_uses_the_derivative(brauer_law, monkeypatch):
     problem = _below_rounding_problem(brauer_law)
-    _, report = mf.newton_solve(problem)
+    _, report = _solve_with_a_rising_trial(monkeypatch, problem)
     assert report.converged
     assert [rec.tau for rec in report.iterations] == [1.0, 1.0]
     # comparing energies alone backtracks on rounding noise and stalls
     monkeypatch.setattr(solver, "ENERGY_ROUNDING", 0.0)
-    _, report = mf.newton_solve(problem, cfg=_tight(max_iter=10))
+    _, report = _solve_with_a_rising_trial(monkeypatch, problem, cfg=_tight(max_iter=10))
     assert report.failure == "max_iter"
 
 
@@ -330,7 +386,7 @@ def test_derivative_accepted_steps_record_the_trapezoid_energy(brauer_law, monke
         return passed, d, res
 
     monkeypatch.setattr(solver, "_approximate_wolfe", recording)
-    coeffs, report = mf.newton_solve(problem)
+    coeffs, report = _solve_with_a_rising_trial(monkeypatch, problem)
     assert report.converged
     kinds = [rec.accepted_by for rec in report.iterations]
     assert kinds.count("derivative") == len(passed_tests) >= 1
