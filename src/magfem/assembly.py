@@ -25,8 +25,8 @@ from . import femspace
 from .quadrature import mapped_points, rule_for_degree
 
 
-#: Elements per batch of the Hessian kernel and of `residual_scale`, which
-#: bounds their temporaries.
+#: Elements per batch of the Hessian kernel, of `residual_scale` and of the
+#: study errors (`harness`), which bounds their temporaries.
 ELEMENT_BATCH = 2048
 
 
@@ -148,19 +148,20 @@ class Problem:
         return min(gammas), max(lips)
 
 
-def _tables(space, rule, domain_map):
+def _tables(space, rule, domain_map, elements=slice(None)):
     """Quadrature tables of `rule` on the space's mesh: (points, curls, wq).
 
     The points (ne, nq, 2), the basis curls with element-major axes (ne,
     n_local, nq, 2), not necessarily contiguous, and the measure wq (ne,
-    nq), weights times element areas. With a domain map these are the
+    nq), weights times element areas, of the `elements` (a slice, by
+    default every element) in turn. With a domain map these are the
     physical domain's, by the change of variables x -> phi(x) with F = D phi
     and J = det F at the reference points: points phi(x), curls
     F Curl phi / J (the Piola transform of the flux) and weights times J.
     """
-    points = mapped_points(space.mesh, rule.points)
-    curls = femspace.tabulate_curl(space, rule).transpose(0, 2, 1, 3)
-    wq = rule.weights[None, :] * space.element_areas[:, None]
+    points = mapped_points(space.mesh, rule.points, elements)
+    curls = femspace.tabulate_curl(space, rule, elements).transpose(0, 2, 1, 3)
+    wq = rule.weights[None, :] * space.element_areas[elements, None]
     if domain_map is None:
         return points, curls, wq
     ne, nq, _ = points.shape
@@ -225,16 +226,23 @@ def curl_at_quadrature(problem, coeffs):
     return np.einsum("el,elqi->eqi", _local_coeffs(problem, coeffs), problem.curls)
 
 
-def _material_apply(problem, name, b, points=None):
+def _material_apply(problem, name, b, points=None, elements=slice(None)):
     """Evaluate law.<name> regionwise on the (ne, nq, 2) batch b.
 
-    `points` are the (ne, nq, 2) points b sits at, by default the
-    problem's own quadrature points.
+    b belongs to the `elements`, a slice of the mesh's elements (by default
+    all of them), and each region's law sees that region's rows among them.
+    `points` are the (ne, nq, 2) points b sits at, by default the problem's
+    own quadrature points of those elements.
     """
-    points = problem.points if points is None else points
+    first = range(problem.mesh.num_triangles)[elements].start
+    points = problem.points[elements] if points is None else points
     ne, nq = b.shape[:2]
     out = None
     for tag, rows in problem.region_rows.items():
+        lo, hi = np.searchsorted(rows, (first, first + ne))
+        if lo == hi:  # no element of this region in the slice
+            continue
+        rows = rows[lo:hi] - first
         law = problem.materials[tag]
         if len(rows) == ne:  # one region holds every element: no gather
             xs, bs = points.reshape(-1, 2), b.reshape(-1, 2)
@@ -376,9 +384,14 @@ def _csr(data, indices, indptr):
     return mat
 
 
+def l2_integrand(wq, v):
+    """The per-point terms wq |v|^2 of `l2_norm`; (ne, nq)."""
+    return wq * np.sum(v * v, axis=2)
+
+
 def l2_norm(wq, v):
     """Discrete L2 norm sqrt(sum wq |v|^2) of (ne, nq, 2) samples on a rule of measure wq."""
-    return float(np.sqrt(np.sum(wq * np.sum(v * v, axis=2))))
+    return float(np.sqrt(np.sum(l2_integrand(wq, v))))
 
 
 def curl_norm(problem, free_values):
@@ -392,7 +405,7 @@ def curl_norm(problem, free_values):
     return l2_norm(problem.wq, b)
 
 
-def fields_at_quadrature(problem, *coeffs, rule=None):
+def fields_at_quadrature(problem, *coeffs, rule=None, elements=slice(None)):
     """Quadrature-point samples (x, wq, b, h) for post-processing and errors.
 
     With `rule` given, tabulates on that rule (used for the over-integrated
@@ -400,13 +413,21 @@ def fields_at_quadrature(problem, *coeffs, rule=None):
     rule. On a mapped problem, x, b, h and the measure wq (`_tables`) are
     the physical ones. Several coefficient vectors share one tabulation:
     the result is x and wq followed by b and h of each vector in turn.
+
+    `elements`, a slice, samples those elements alone, through the same
+    tabulation, einsum and laws as the whole mesh, so that the study errors
+    and the fields CSV, which walk the mesh batch by batch, get its samples
+    bit for bit; they pass each vector's full dof vector
+    (`CoefficientVector.full`), scattered once, instead of the vector.
     """
     if rule is None or rule.degree == problem.rule.degree:
-        pts, curls, wq = problem.points, problem.curls, problem.wq
+        pts, curls, wq = problem.points[elements], problem.curls[elements], problem.wq[elements]
     else:
-        pts, curls, wq = _tables(problem.space, rule, problem.domain_map)
+        pts, curls, wq = _tables(problem.space, rule, problem.domain_map, elements)
+    conn = problem.space.conn[elements]
     fields = [pts, wq]
     for c in coeffs:
-        b = np.einsum("el,elqi->eqi", _local_coeffs(problem, c), curls)
-        fields += [b, _material_apply(problem, "dw", b, pts)]
+        full = c.full() if isinstance(c, femspace.CoefficientVector) else c
+        b = np.einsum("el,elqi->eqi", full[conn], curls)
+        fields += [b, _material_apply(problem, "dw", b, pts, elements)]
     return tuple(fields)

@@ -246,10 +246,13 @@ def _physical_curls(inv, ref_grads):
     return curl
 
 
-def tabulate_curl(space, rule):
-    """Curl of all shape functions at the rule's points; (ne, nq, n_local, 2)."""
+def tabulate_curl(space, rule, elements=slice(None)):
+    """Curl of all shape functions at the rule's points; (ne, nq, n_local, 2).
+
+    `elements`, a slice, restricts the result to those elements' rows.
+    """
     grads = _shape_gradients(space.degree, rule.points)  # (nq, n_local, 2)
-    return _physical_curls(space.element_inverse[:, None, None], grads)
+    return _physical_curls(space.element_inverse[elements, None, None], grads)
 
 
 def tabulate_values(space, rule):

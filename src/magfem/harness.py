@@ -10,7 +10,11 @@ the next-finer solution (the coarse solution carried to the fine mesh by
 `multigrid.prolongation`), or the next-degree solution; error integration
 always uses a rule two degrees above the assembly rule, and the errors are
 `assembly.l2_norm`s against that rule's measure from
-`assembly.fields_at_quadrature` (physical on a mapped problem).
+`assembly.fields_at_quadrature` (physical on a mapped problem). Errors are
+evaluated one batch of `assembly.ELEMENT_BATCH` elements at a time, so no
+error mode holds the error rule's points, curls or fields of a whole mesh;
+the per-point terms of each norm are summed once over the whole mesh, so the
+errors are bit-identical to whole-mesh evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, geometry, multigrid, solver
-from .femspace import CoefficientVector
 from .materials import NU0, LinearLaw, brauer_reference
 from .mesh import Mesh, generate_unit_square, refine_uniform, with_region_tags
 from .quadrature import rule_for_degree
@@ -226,34 +229,64 @@ def _tabulate(results, errors):
     ]
 
 
-def _relative_errors(wq, fields, reference):
-    """Relative L2 errors (err_b, err_h) of sampled (b, h) against the reference's."""
-    return tuple(
-        assembly.l2_norm(wq, x - x_ref) / assembly.l2_norm(wq, x_ref)
-        for x, x_ref in zip(fields, reference)
-    )
+def _relative_errors(problem, rule, samples):
+    """Relative L2 errors (err_b, err_h) on `rule` over the problem's mesh.
+
+    `samples(elements)` gives (wq, (b, h), (b_ref, h_ref)) on each batch of
+    `assembly.ELEMENT_BATCH` elements. The terms wq |x - x_ref|^2 and
+    wq |x_ref|^2 of each norm fill a whole-mesh (ne, nq) array, summed once
+    as `assembly.l2_norm` sums them, so the errors are its ratios bit for bit.
+    """
+    ne = problem.mesh.num_triangles
+    terms = np.empty((4, ne, len(rule)))  # per field: the error's, then the reference's
+    for start in range(0, ne, assembly.ELEMENT_BATCH):
+        elements = slice(start, start + assembly.ELEMENT_BATCH)
+        wq, fields, reference = samples(elements)
+        for i, (x, x_ref) in enumerate(zip(fields, reference)):
+            terms[2 * i, elements] = assembly.l2_integrand(wq, x - x_ref)
+            terms[2 * i + 1, elements] = assembly.l2_integrand(wq, x_ref)
+    err_b, ref_b, err_h, ref_h = (math.sqrt(np.sum(t)) for t in terms)
+    return err_b / ref_b, err_h / ref_h
 
 
 def _manufactured_errors(benchmark, problem, coeffs, rule):
-    pts, wq, b_h, h_h = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
-    flat = pts.reshape(-1, 2)
-    b_ex = np.asarray(benchmark.exact_flux(flat), float).reshape(b_h.shape)
-    h_ex = assembly._material_apply(problem, "dw", b_ex, pts)
-    return _relative_errors(wq, (b_h, h_h), (b_ex, h_ex))
+    full = coeffs.full()
+
+    def samples(elements):
+        pts, wq, b_h, h_h = assembly.fields_at_quadrature(
+            problem, full, rule=rule, elements=elements
+        )
+        b_ex = np.asarray(benchmark.exact_flux(pts.reshape(-1, 2)), float).reshape(b_h.shape)
+        h_ex = assembly._material_apply(problem, "dw", b_ex, pts, elements)
+        return wq, (b_h, h_h), (b_ex, h_ex)
+
+    return _relative_errors(problem, rule, samples)
 
 
 def _refinement_errors(coarse_p, coarse_c, fine_p, fine_c, rule):
     """The coarse solution against the fine one, both on the fine mesh."""
     P = multigrid.prolongation(fine_p.space, coarse_p.space)
-    coarse_on_fine = CoefficientVector(fine_p.space, P @ coarse_c.values)
-    _, wq, *fields = assembly.fields_at_quadrature(fine_p, coarse_on_fine, fine_c, rule=rule)
-    return _relative_errors(wq, fields[:2], fields[2:])
+    coarse_on_fine = fine_p.space.scatter(P @ coarse_c.values)
+    fine = fine_c.full()
+
+    def samples(elements):
+        _, wq, *fields = assembly.fields_at_quadrature(
+            fine_p, coarse_on_fine, fine, rule=rule, elements=elements
+        )
+        return wq, fields[:2], fields[2:]
+
+    return _relative_errors(fine_p, rule, samples)
 
 
 def _degree_errors(problem, coeffs, problem2, coeffs2, rule):
-    _, wq, *low = assembly.fields_at_quadrature(problem, coeffs, rule=rule)
-    _, _, *high = assembly.fields_at_quadrature(problem2, coeffs2, rule=rule)
-    return _relative_errors(wq, low, high)
+    low_c, high_c = coeffs.full(), coeffs2.full()
+
+    def samples(elements):
+        _, wq, *low = assembly.fields_at_quadrature(problem, low_c, rule=rule, elements=elements)
+        _, _, *high = assembly.fields_at_quadrature(problem2, high_c, rule=rule, elements=elements)
+        return wq, low, high
+
+    return _relative_errors(problem, rule, samples)
 
 
 def write_study_csv(rows, path, aborted=None):

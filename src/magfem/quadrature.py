@@ -132,9 +132,12 @@ def rule_for_degree(d):
     raise UnsupportedDegreeError(d)  # pragma: no cover
 
 
-def mapped_points(mesh, points):
-    """Reference points (n, 2) mapped affinely to every element; (ne, n, 2)."""
-    p = mesh.vertices[mesh.triangles]  # (ne, 3, 2)
+def mapped_points(mesh, points, elements=slice(None)):
+    """Reference points (n, 2) mapped affinely to every element; (ne, n, 2).
+
+    `elements`, a slice, restricts the result to those elements' rows.
+    """
+    p = mesh.vertices[mesh.triangles[elements]]  # (ne, 3, 2)
     v0 = p[:, 0]
     d1 = p[:, 1] - v0
     d2 = p[:, 2] - v0

@@ -10,6 +10,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import tracemalloc  # noqa: E402
 import warnings  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from math import factorial  # noqa: E402
@@ -530,6 +531,21 @@ def small_brauer_problem(brauer_law):
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def traced_transient(fn, *args):
+    """(fn(*args), its traced peak above the memory traced when it began)."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not outer:
+            tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +15,7 @@ from magfem import assembly
 from magfem.femspace import CoefficientVector, build_space, tabulate_curl, tabulate_values
 from magfem.materials import NU0
 
-from conftest import integrate_against_curls, map_jacobians, piola_curls, rng
+from conftest import integrate_against_curls, map_jacobians, piola_curls, rng, traced_transient
 
 BRAUER_W0 = 3.8 / (2 * 2.17)  # profile value at zero field
 
@@ -425,21 +423,6 @@ def test_csr_pattern_matches_the_unique_reference(kind, degree, dirichlet):
         assert np.array_equal(got, want)
 
 
-def _traced_transient(fn, *args):
-    """(fn(*args), its traced peak above the memory traced when it began)."""
-    outer = tracemalloc.is_tracing()
-    if not outer:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not outer:
-            tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def parsed_p2_problem():
     mesh = mf.parse_mesh(mf.serialize_mesh(mf.generate_unit_square(48)))
@@ -450,13 +433,13 @@ def parsed_p2_problem():
 
 
 def test_csr_pattern_transient_stays_within_budget(parsed_p2_problem):
-    pattern, transient = _traced_transient(assembly._csr_pattern, parsed_p2_problem.space)
+    pattern, transient = traced_transient(assembly._csr_pattern, parsed_p2_problem.space)
     assert transient <= CSR_PATTERN_BUDGET * sum(a.nbytes for a in pattern)
 
 
 def test_hessian_transient_stays_within_budget(parsed_p2_problem):
     coeffs = _random_coeffs(parsed_p2_problem, scale=1e-4, seed=11)
-    H, transient = _traced_transient(assemble_hessian, parsed_p2_problem, coeffs)
+    H, transient = traced_transient(assemble_hessian, parsed_p2_problem, coeffs)
     assert transient <= HESSIAN_BUDGET * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
     assert parsed_p2_problem.mesh.num_triangles > assembly.ELEMENT_BATCH  # several batches
 

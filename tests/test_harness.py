@@ -20,7 +20,7 @@ from magfem.harness import (
     write_study_csv,
 )
 
-from conftest import annulus_direct_benchmark, interpolate, max_flux_magnitude
+from conftest import annulus_direct_benchmark, interpolate, max_flux_magnitude, traced_transient
 
 
 # -- EOC -----------------------------------------------------------------------
@@ -282,8 +282,9 @@ def test_reference_refinement_error_monotonicity():
 
 
 def test_refinement_errors_tabulate_the_fine_level_once(monkeypatch):
-    # both fields of a level pair come from one table of the fine level's
-    # curls, each through the same einsum as a single-vector evaluation
+    # the error rule's tables are built batch by batch, each fine element in
+    # exactly one batch, and both fields of a level pair share each batch;
+    # the errors are the whole-mesh l2_norm ratios bit for bit
     from magfem import assembly, femspace, multigrid
 
     bench = pm_toy_benchmark()
@@ -291,18 +292,77 @@ def test_refinement_errors_tabulate_the_fine_level_once(monkeypatch):
     coarse_p, coarse_c, _ = harness.solve_level(bench, 0, cfg, 2)
     fine_p, fine_c, _ = harness.solve_level(bench, 1, cfg, 2)
     rule = harness._error_rule(2)
+    ne = fine_p.mesh.num_triangles
+    assert ne > assembly.ELEMENT_BATCH  # several batches, the last one ragged
 
-    calls = []
-    tabulate = femspace.tabulate_curl
-    monkeypatch.setattr(femspace, "tabulate_curl", lambda *a: calls.append(1) or tabulate(*a))
+    curls, points = [], []
+    tabulate, mapped = femspace.tabulate_curl, assembly.mapped_points
+
+    def spy(calls, fn):  # records the fine elements each call tabulates
+        def wrapped(space_or_mesh, rule_or_points, elements=slice(None)):
+            calls.append(range(ne)[elements])
+            return fn(space_or_mesh, rule_or_points, elements)
+        return wrapped
+
+    monkeypatch.setattr(femspace, "tabulate_curl", spy(curls, tabulate))
+    monkeypatch.setattr(assembly, "mapped_points", spy(points, mapped))
     got = harness._refinement_errors(coarse_p, coarse_c, fine_p, fine_c, rule)
-    assert len(calls) == 1
+    monkeypatch.undo()
+    for calls in (curls, points):
+        assert len(calls) == -(-ne // assembly.ELEMENT_BATCH)
+        assert [e for batch in calls for e in batch] == list(range(ne))
 
     P = multigrid.prolongation(fine_p.space, coarse_p.space)
     on_fine = mf.CoefficientVector(fine_p.space, P @ coarse_c.values)
     _, wq, *coarse = assembly.fields_at_quadrature(fine_p, on_fine, rule=rule)
     _, _, *fine = assembly.fields_at_quadrature(fine_p, fine_c, rule=rule)
-    assert got == harness._relative_errors(wq, coarse, fine)
+    assert got == tuple(
+        assembly.l2_norm(wq, x - x_ref) / assembly.l2_norm(wq, x_ref)
+        for x, x_ref in zip(coarse, fine)
+    )
+
+
+def _batch_benchmarks():
+    pm_toy = pm_toy_benchmark(base_n=5)  # 50, 200 and 800 elements over five regions
+    return {
+        "manufactured-exact": manufactured_benchmark(levels=3),
+        "successive-refinement": pm_toy,
+        "successive-degree": dataclasses.replace(
+            pm_toy, name="pm_toy_degree", error_mode="successive-degree"
+        ),
+        "mapped": annulus_mapped_benchmark(base_n=4, levels=2),
+    }
+
+
+@pytest.mark.parametrize("case", ["manufactured-exact", "successive-refinement",
+                                  "successive-degree", "mapped"])
+def test_study_rows_do_not_depend_on_the_element_batch(case, monkeypatch):
+    # no built-in benchmark uses successive-degree, so pm_toy is rebuilt with it
+    from magfem import assembly
+
+    bench = _batch_benchmarks()[case]
+    rows = run_study(bench, order=1, levels=2)
+    largest = max(harness.mesh_at_level(bench, 2).num_triangles, assembly.ELEMENT_BATCH)
+    for batch in (7, largest):  # a ragged last batch; one batch per level
+        monkeypatch.setattr(assembly, "ELEMENT_BATCH", batch)
+        assert run_study(bench, order=1, levels=2) == rows
+
+
+#: Largest traced rise of pm_toy's level 1 -> 2 refinement error at k = 1,
+#: in MiB. Evaluated on the whole fine mesh at once it rose 20.0 MiB; per
+#: element batch it rises about 7.7 MiB.
+REFINEMENT_ERROR_BUDGET_MIB = 10.0
+
+
+def test_refinement_error_transient_stays_within_budget():
+    bench = pm_toy_benchmark()
+    cfg = mf.NewtonConfig()
+    coarse = harness.solve_level(bench, 1, cfg, 1)
+    fine = harness.solve_level(bench, 2, cfg, 1)
+    _, rise = traced_transient(
+        harness._refinement_errors, *coarse[:2], *fine[:2], harness._error_rule(1)
+    )
+    assert rise <= REFINEMENT_ERROR_BUDGET_MIB * 2**20
 
 
 def test_study_abort_carries_partial_rows():

@@ -319,13 +319,13 @@ def test_newton_stops_on_ascent_direction(small_brauer_problem, reversed_newton_
     assert '"failure": "linear_solve"' in report.to_json()
 
 
-def _below_rounding_problem(brauer_law):
+def _below_rounding_problem(brauer_law, n=6, order=2):
     # a file mesh (no parent, so multigrid over the P3 -> P1 step alone) on which
     # the last full Newton step's decrease, about 3e-19, is far below ulp(W) ~ 1e-16
-    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(6))))
+    mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(n))))
     return mf.Problem(
         mesh=mesh,
-        order=2,
+        order=order,
         materials={1: brauer_law},
         dirichlet_tags=frozenset({1}),
         hs_field=lambda x: np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2]),
@@ -336,13 +336,15 @@ def _below_rounding_problem(brauer_law):
 ENERGY_ROUNDING = solver.ENERGY_ROUNDING
 
 
-def _solve_with_a_rising_trial(monkeypatch, problem, cfg=mf.NewtonConfig()):
+def _solve_with_a_rising_trial(monkeypatch, problem, cfg=mf.NewtonConfig(), every=False):
     """`newton_solve`, with the first trial energy that differs from the last
-    assembled energy by less than the energy's rounding forced one ulp above it.
+    assembled energy by less than the energy's rounding forced one ulp above it,
+    or with `every` such energy forced.
 
     Whether that trial's assembled energy rises, ties or falls is the rounding
     of one sum on one mesh; forcing the rise makes Armijo reject the step on
-    any mesh, so the below-rounding path runs.
+    any mesh, so the below-rounding path runs. Forcing every one also rejects
+    the backtracked trials, whose energies differ from the last by rounding too.
     """
     real = assembly.assemble_energy
     energies, forced = [], []
@@ -350,7 +352,8 @@ def _solve_with_a_rising_trial(monkeypatch, problem, cfg=mf.NewtonConfig()):
     def energy(problem, coeffs):
         value = real(problem, coeffs)
         last = energies[-1] if energies else None
-        if not forced and last is not None and abs(value - last) <= ENERGY_ROUNDING * abs(last):
+        within = last is not None and abs(value - last) <= ENERGY_ROUNDING * abs(last)
+        if within and (every or not forced):
             value = np.nextafter(last, np.inf)
             forced.append(value)
         energies.append(value)
@@ -359,19 +362,21 @@ def _solve_with_a_rising_trial(monkeypatch, problem, cfg=mf.NewtonConfig()):
     with monkeypatch.context() as m:
         m.setattr(assembly, "assemble_energy", energy)
         coeffs, report = mf.newton_solve(problem, cfg=cfg)
-    assert len(forced) == 1
+    assert len(forced) == 1 or every
     return coeffs, report
 
 
-def test_line_search_below_energy_rounding_uses_the_derivative(brauer_law, monkeypatch):
-    problem = _below_rounding_problem(brauer_law)
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_line_search_below_energy_rounding_uses_the_derivative(brauer_law, monkeypatch, n, order):
+    problem = _below_rounding_problem(brauer_law, n, order)
     _, report = _solve_with_a_rising_trial(monkeypatch, problem)
     assert report.converged
     assert [rec.tau for rec in report.iterations] == [1.0, 1.0]
-    # comparing energies alone backtracks on rounding noise and stalls
+    # comparing energies alone backtracks on rounding noise until it gives up
     monkeypatch.setattr(solver, "ENERGY_ROUNDING", 0.0)
-    _, report = _solve_with_a_rising_trial(monkeypatch, problem, cfg=_tight(max_iter=10))
-    assert report.failure == "max_iter"
+    with pytest.raises(solver.LineSearchError, match="backtracking exhausted"):
+        _solve_with_a_rising_trial(monkeypatch, problem, cfg=_tight(max_iter=10), every=True)
 
 
 def test_derivative_accepted_steps_record_the_trapezoid_energy(brauer_law, monkeypatch):

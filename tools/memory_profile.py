@@ -2,8 +2,8 @@
 
     python3 tools/memory_profile.py [--src path/to/src]
 
-Runs three solves in-process under ``tracemalloc``, which also traces
-numpy's array buffers:
+Runs three solves and one study in-process under ``tracemalloc``, which
+also traces numpy's array buffers:
 
 * ``cli_io``: ``magfem solve --fields`` on the 32,768-triangle file mesh of
   ``mesh gen --n 64`` and ``mesh refine`` (linear law, ``js`` source), as
@@ -12,7 +12,10 @@ numpy's array buffers:
 * ``pm_toy``: ``Problem`` construction and ``newton_solve`` of the pm_toy
   benchmark's level 2 at k = 1;
 * ``manufactured``: the same for the manufactured benchmark's level 3 at
-  k = 3; the refinements of both run before tracing starts.
+  k = 3; the refinements of both run before tracing starts;
+* ``pm_toy_study``: ``run_study(pm_toy_benchmark(), order=1, levels=2)``,
+  perfbench's pm_toy_k1 operation: three level solves, two of them at
+  once, then the errors of each level pair.
 
 Every phase listed in ``PHASES`` is wrapped wherever a magfem module holds
 it. For each phase the report gives the number of calls, its largest
@@ -20,8 +23,10 @@ it. For each phase the report gives the number of calls, its largest
 call began: the transient a call adds on top of what was already live) and
 its largest ``peak`` (the absolute traced peak during a call), in MiB
 (2^20 bytes, the unit of the benchmark's ``peak_rss_mb``). A
-phase's figures include the phases it calls. ``traced_peak_mb`` is the
-peak of the whole solve. ``--src`` imports magfem from another source tree,
+phase's figures include the phases it calls, and while two threads run,
+the other thread's allocations too. ``traced_peak_mb`` is the peak of the
+whole run and ``peak_set_by`` the phases open when it was reached, one
+``outer > inner`` chain per thread. ``--src`` imports magfem from another source tree,
 so a parent commit and a change can be profiled with the same script. BLAS
 is pinned to one thread, as in the test suite. The result is one JSON
 object on standard output; it is a report, not a test.
@@ -41,6 +46,7 @@ import io
 import json
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -67,6 +73,9 @@ PHASES = (
     ("multigrid", "VCycle"),
     ("assembly", "fields_at_quadrature"),
     ("cli", "_write_fields_csv"),
+    ("harness", "_refinement_errors"),
+    ("harness", "_manufactured_errors"),
+    ("harness", "_degree_errors"),
 )
 
 #: cli_io's run config: the benchmark's linear law and current density.
@@ -88,35 +97,53 @@ region.1 = 100000.0
 class PhaseMeter:
     """Largest transient and absolute traced peak of every wrapped call.
 
-    Nested calls share tracemalloc's one peak counter: a call resets it on
-    entry after handing the peak so far to its caller's frame, and passes
-    its own peak up on exit, so every frame sees the peak of its whole call.
+    All calls, on every thread, share tracemalloc's one peak counter. Each
+    call's entry and exit is an event: under one lock, the peak since the
+    last event is credited to every call open on any thread, since each was
+    open throughout, and the counter is reset. So every call sees the peak
+    of its whole duration, and the run's peak is credited to the calls open
+    when it was reached (`peak_set_by`).
     """
 
     def __init__(self):
-        self.stack = []  # [memory at entry, peak so far] per open call
+        self.lock = threading.Lock()
+        self.open = {}  # thread id -> [name, memory at entry, peak so far] per open call
         self.stats = {}
+        self.peak = 0
+        self.peak_set_by = []
+
+    def _flush(self):
+        peak = tracemalloc.get_traced_memory()[1]
+        for stack in self.open.values():
+            for frame in stack:
+                frame[2] = max(frame[2], peak)
+        if peak > self.peak:
+            self.peak = peak
+            self.peak_set_by = [" > ".join(f[0] for f in s) for s in self.open.values() if s]
+        tracemalloc.reset_peak()
 
     def wrap(self, name, fn):
         @functools.wraps(fn)
         def wrapped(*args, **kwargs):
-            current, peak = tracemalloc.get_traced_memory()
-            if self.stack:
-                self.stack[-1][1] = max(self.stack[-1][1], peak)
-            tracemalloc.reset_peak()
-            frame = [current, current]
-            self.stack.append(frame)
+            with self.lock:
+                self._flush()
+                current = tracemalloc.get_traced_memory()[0]
+                stack = self.open.setdefault(threading.get_ident(), [])
+                frame = [name, current, current]
+                stack.append(frame)
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.stack.pop()
-                top = max(frame[1], tracemalloc.get_traced_memory()[1])
-                if self.stack:
-                    self.stack[-1][1] = max(self.stack[-1][1], top)
-                stat = self.stats.setdefault(name, {"calls": 0, "rise_mb": 0.0, "peak_mb": 0.0})
-                stat["calls"] += 1
-                stat["rise_mb"] = max(stat["rise_mb"], round((top - frame[0]) / MB, 1))
-                stat["peak_mb"] = max(stat["peak_mb"], round(top / MB, 1))
+                with self.lock:
+                    self._flush()
+                    stack.pop()
+                    top = frame[2]
+                    stat = self.stats.setdefault(
+                        name, {"calls": 0, "rise_mb": 0.0, "peak_mb": 0.0}
+                    )
+                    stat["calls"] += 1
+                    stat["rise_mb"] = max(stat["rise_mb"], round((top - frame[1]) / MB, 1))
+                    stat["peak_mb"] = max(stat["peak_mb"], round(top / MB, 1))
 
         return wrapped
 
@@ -155,7 +182,11 @@ def profile(run):
         meter.wrap("whole", run)()
     whole = meter.stats.pop("whole")
     ranked = sorted(meter.stats.items(), key=lambda item: -item[1]["rise_mb"])
-    return {"traced_peak_mb": whole["peak_mb"], "phases": dict(ranked)}
+    return {
+        "traced_peak_mb": whole["peak_mb"],
+        "peak_set_by": meter.peak_set_by,
+        "phases": dict(ranked),
+    }
 
 
 def cli_io(workdir):
@@ -198,6 +229,13 @@ def finest_level(factory, level, order):
     return run
 
 
+def pm_toy_study():
+    from magfem import harness
+
+    benchmark = harness.pm_toy_benchmark()
+    return lambda: harness.run_study(benchmark, order=1, levels=2)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -213,6 +251,7 @@ def main(argv=None):
         out["cli_io"] = profile(cli_io(workdir))
     out["pm_toy"] = profile(finest_level("pm_toy_benchmark", 2, 1))
     out["manufactured"] = profile(finest_level("manufactured_benchmark", 3, 3))
+    out["pm_toy_study"] = profile(pm_toy_study())
     print(json.dumps(out, indent=2))
 
 
