@@ -320,8 +320,9 @@ def test_newton_stops_on_ascent_direction(small_brauer_problem, reversed_newton_
 
 
 def _below_rounding_problem(brauer_law, n=6, order=2):
-    # a file mesh (no parent, so multigrid over the P3 -> P1 step alone) on which
-    # the last full Newton step's decrease, about 3e-19, is far below ulp(W) ~ 1e-16
+    # a file mesh (no parent, so multigrid over the P(k+1) -> P1 step alone) on which
+    # the last full Newton step's decrease (about 3e-19 at n = 6, k = 2) is far
+    # below ulp(W) ~ 1e-16
     mesh = mf.parse_mesh(mf.serialize_mesh(mf.refine_uniform(mf.generate_unit_square(n))))
     return mf.Problem(
         mesh=mesh,
