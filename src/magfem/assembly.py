@@ -25,9 +25,12 @@ from . import femspace
 from .quadrature import mapped_points, rule_for_degree
 
 
-#: Elements per batch of the Hessian kernel, of `residual_scale` and of the
-#: study errors (`harness`), which bounds their temporaries.
-ELEMENT_BATCH = 2048
+#: Curl-table entries (elements x local basis functions x quadrature points)
+#: per batch of every element walk: the Hessian kernel, `residual_scale`, the
+#: study errors (`harness`) and the fields CSV (`cli`). Counting entries, not
+#: elements, bounds their temporaries at every degree; P2 on its 3-point rule
+#: gets 2,048 elements a batch, P4 on its 12-point rule 204.
+BATCH_ENTRIES = 2048 * 18
 
 
 class ProblemConfigError(ValueError):
@@ -210,6 +213,18 @@ def _csr_pattern(space):
     return slots.reshape(shape), (unique % n).astype(index), indptr.astype(index)
 
 
+def element_batches(space, nq, multiple=1):
+    """Consecutive slices covering the space's elements, in element order.
+
+    Each holds BATCH_ENTRIES // (n_local nq) elements, at least one, rounded
+    up to a multiple of `multiple`; the last one may hold fewer.
+    """
+    ne = space.mesh.num_triangles
+    size = max(1, BATCH_ENTRIES // (space.n_local * nq))
+    size = -(-size // multiple) * multiple
+    return [slice(start, min(start + size, ne)) for start in range(0, ne, size)]
+
+
 def _local_coeffs(problem, coeffs):
     return coeffs.full()[problem.space.conn]  # (ne, nl)
 
@@ -290,8 +305,7 @@ def residual_scale(problem, coeffs):
     h = np.abs(_material_apply(problem, "dw", b))
     h *= problem.wq[..., None]  # the weights are positive
     cell = np.empty(problem.curls.shape[:2])
-    for start in range(0, len(cell), ELEMENT_BATCH):  # |Curl phi| one batch at a time
-        batch = slice(start, start + ELEMENT_BATCH)
+    for batch in element_batches(problem.space, len(problem.rule)):  # |Curl phi| per batch
         cell[batch] = np.einsum("elqi,eqi->el", np.abs(problem.curls[batch]), h[batch])
     return float(np.linalg.norm(_free_sum(problem.space, cell) + np.abs(problem.load)))
 
@@ -329,20 +343,20 @@ def _scatter_matrix(problem, t, levels):
     u Curl phi_m^T contracted over the points and components. The same
     batch's element matrices give the coarse ones of every level in turn
     (`_coarse_element_matrices`), so a batch holds whole elements of the
-    coarsest level: ELEMENT_BATCH rounded up to a multiple of the fine
-    elements in one of them. np.add.at adds each entry into its slot, in
-    element order across the batches, so every slot is summed in the same
-    order as in one batch. Returns the fine operator and one per level.
+    coarsest level: `element_batches` rounds its BATCH_ENTRIES // (n_local
+    nq) elements up to a multiple of the fine elements in one of them (at
+    P4 over three refinements, 204 up to 256). np.add.at adds each entry
+    into its slot, in element order across the batches, so every slot is
+    summed in the same order as in one batch. Returns the fine operator and
+    one per level.
     """
     curls = problem.curls
-    ne, nl, nq, _ = curls.shape
+    nl, nq = curls.shape[1:3]
     patterns = [(problem.slots, problem.indices, problem.indptr)]
     patterns += [(level.slots, level.indices, level.indptr) for level in levels]
     datas = [np.zeros(len(indices) + 1) for _, indices, _ in patterns]
     per_coarsest = int(np.prod([len(level.tables) for level in levels]))
-    step = -(-ELEMENT_BATCH // per_coarsest) * per_coarsest
-    for start in range(0, ne, step):
-        batch = slice(start, start + step)
+    for batch in element_batches(problem.space, nq, per_coarsest):
         c = curls[batch]
         u = np.empty(c.shape)
         np.matmul(c.transpose(0, 2, 1, 3), t[batch], out=u.transpose(0, 2, 1, 3))
@@ -350,7 +364,7 @@ def _scatter_matrix(problem, t, levels):
         cell = u.reshape(flat.shape) @ flat.transpose(0, 2, 1)  # (batch, nl, nl)
         del c, u, flat  # not alive through the coarse levels
         np.add.at(datas[0], problem.slots[batch].ravel(), cell.ravel())
-        first = start
+        first = batch.start
         for level, data in zip(levels, datas[1:]):
             cell = _coarse_element_matrices(cell, level.tables)
             first //= len(level.tables)

@@ -186,24 +186,20 @@ def read_problem_config(path, mesh_file=None):
 
 #: One fields CSV row; "%.12g" writes what an f-string's ":.12g" writes.
 _FIELDS_ROW = "%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
-#: Elements sampled and formatted per write, which bounds the fields and the
-#: text held at once.
-_FIELDS_CHUNK = 1024
 
 
 def _write_fields_csv(problem, coeffs, path):
-    full = coeffs.full()  # scattered once for every chunk
-    ne, nq = problem.wq.shape
-    qpoint = list(range(nq)) * _FIELDS_CHUNK
+    """The fields CSV, sampled and formatted one `assembly.element_batches`
+    batch per write, which bounds the fields and the text held at once."""
+    full = coeffs.full()  # scattered once for every batch
+    nq = len(problem.rule)
     with open(path, "w") as f:
         f.write("element,qpoint,x,y,bx,by,hx,hy\n")
-        for start in range(0, ne, _FIELDS_CHUNK):
-            stop = min(start + _FIELDS_CHUNK, ne)
-            n = (stop - start) * nq
-            pts, _, b, h = assembly.fields_at_quadrature(
-                problem, full, elements=slice(start, stop)
-            )
-            element = np.repeat(np.arange(start, stop), nq).tolist()
+        for elements in assembly.element_batches(problem.space, nq):
+            pts, _, b, h = assembly.fields_at_quadrature(problem, full, elements=elements)
+            element = np.repeat(np.arange(elements.start, elements.stop), nq).tolist()
+            qpoint = list(range(nq)) * len(pts)
+            n = len(element)
             values = np.concatenate([pts, b, h], axis=2)
             columns = values.reshape(n, 6).T.tolist()
             rows = itertools.chain.from_iterable(zip(element, qpoint, *columns))

@@ -11,10 +11,11 @@ the next-finer solution (the coarse solution carried to the fine mesh by
 always uses a rule two degrees above the assembly rule, and the errors are
 `assembly.l2_norm`s against that rule's measure from
 `assembly.fields_at_quadrature` (physical on a mapped problem). Errors are
-evaluated one batch of `assembly.ELEMENT_BATCH` elements at a time, so no
-error mode holds the error rule's points, curls or fields of a whole mesh;
-the per-point terms of each norm are summed once over the whole mesh, so the
-errors are bit-identical to whole-mesh evaluation.
+evaluated one `assembly.element_batches` batch at a time, sized by the error
+rule's curl-table entries, so no error mode holds the error rule's tables
+or fields of a whole mesh at any degree; the per-point terms of each norm
+are summed once over the whole mesh, so the errors are bit-identical to
+whole-mesh evaluation.
 """
 
 from __future__ import annotations
@@ -232,15 +233,15 @@ def _tabulate(results, errors):
 def _relative_errors(problem, rule, samples):
     """Relative L2 errors (err_b, err_h) on `rule` over the problem's mesh.
 
-    `samples(elements)` gives (wq, (b, h), (b_ref, h_ref)) on each batch of
-    `assembly.ELEMENT_BATCH` elements. The terms wq |x - x_ref|^2 and
-    wq |x_ref|^2 of each norm fill a whole-mesh (ne, nq) array, summed once
-    as `assembly.l2_norm` sums them, so the errors are its ratios bit for bit.
+    `samples(elements)` gives (wq, (b, h), (b_ref, h_ref)) on each
+    `assembly.element_batches` batch of `problem`, the larger of two. The
+    terms wq |x - x_ref|^2 and wq |x_ref|^2 of each norm fill a whole-mesh
+    (ne, nq) array, summed once as `assembly.l2_norm` sums them, so the
+    errors are its ratios bit for bit.
     """
     ne = problem.mesh.num_triangles
     terms = np.empty((4, ne, len(rule)))  # per field: the error's, then the reference's
-    for start in range(0, ne, assembly.ELEMENT_BATCH):
-        elements = slice(start, start + assembly.ELEMENT_BATCH)
+    for elements in assembly.element_batches(problem.space, len(rule)):
         wq, fields, reference = samples(elements)
         for i, (x, x_ref) in enumerate(zip(fields, reference)):
             terms[2 * i, elements] = assembly.l2_integrand(wq, x - x_ref)
@@ -286,7 +287,7 @@ def _degree_errors(problem, coeffs, problem2, coeffs2, rule):
         _, _, *high = assembly.fields_at_quadrature(problem2, high_c, rule=rule, elements=elements)
         return wq, low, high
 
-    return _relative_errors(problem, rule, samples)
+    return _relative_errors(problem2, rule, samples)  # same mesh, the larger table
 
 
 def write_study_csv(rows, path, aborted=None):

@@ -533,6 +533,13 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def set_element_batch(monkeypatch, space, nq, elements):
+    """Make `assembly.element_batches(space, nq)` hold `elements` elements a batch."""
+    from magfem import assembly
+
+    monkeypatch.setattr(assembly, "BATCH_ENTRIES", elements * space.n_local * nq)
+
+
 def traced_transient(fn, *args):
     """(fn(*args), its traced peak above the memory traced when it began)."""
     outer = tracemalloc.is_tracing()

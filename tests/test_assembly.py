@@ -15,7 +15,9 @@ from magfem import assembly
 from magfem.femspace import CoefficientVector, build_space, tabulate_curl, tabulate_values
 from magfem.materials import NU0
 
-from conftest import integrate_against_curls, map_jacobians, piola_curls, rng, traced_transient
+from conftest import (
+    integrate_against_curls, map_jacobians, piola_curls, rng, set_element_batch, traced_transient,
+)
 
 BRAUER_W0 = 3.8 / (2 * 2.17)  # profile value at zero field
 
@@ -441,7 +443,38 @@ def test_hessian_transient_stays_within_budget(parsed_p2_problem):
     coeffs = _random_coeffs(parsed_p2_problem, scale=1e-4, seed=11)
     H, transient = traced_transient(assemble_hessian, parsed_p2_problem, coeffs)
     assert transient <= HESSIAN_BUDGET * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
-    assert parsed_p2_problem.mesh.num_triangles > assembly.ELEMENT_BATCH  # several batches
+    nq = len(parsed_p2_problem.rule)
+    assert len(assembly.element_batches(parsed_p2_problem.space, nq)) > 1  # several batches
+
+
+#: Largest traced rise of the manufactured k = 3 level-3 Hessian (P4, 2,048
+#: elements) with its multigrid levels, in MiB. As one 2,048-element batch it
+#: rose 13.6 MiB; in batches of BATCH_ENTRIES curl-table entries, 6.4 MiB.
+P4_HESSIAN_BUDGET_MIB = 10.0
+
+
+def test_p4_hessian_with_levels_transient_stays_within_budget():
+    from magfem import harness, multigrid
+
+    problem = harness.problem_at_level(harness.manufactured_benchmark(), 3, order=3)
+    levels = multigrid.hierarchy(problem.space)
+    coeffs = _random_coeffs(problem, scale=1e-3, seed=15)
+    _, transient = traced_transient(assemble_hessian, problem, coeffs, levels)
+    assert transient <= P4_HESSIAN_BUDGET_MIB * 2**20
+
+
+def test_element_batches_count_curl_table_entries():
+    def sizes(space, nq, multiple=1):
+        batches = assembly.element_batches(space, nq, multiple)
+        assert [b.start for b in batches[1:]] == [b.stop for b in batches[:-1]]
+        return [b.stop - b.start for b in batches]
+
+    p2 = build_space(mf.generate_unit_square(33), 2)  # 2,178 elements, 6 basis functions
+    assert sizes(p2, 3) == [2048, 130]  # P2 on its 3-point rule: 2,048 elements a batch
+    p4 = build_space(mf.generate_unit_square(20), 4)  # 800 elements, 15 basis functions
+    assert sizes(p4, 12) == [204, 204, 204, 188]
+    assert sizes(p4, 12, 64) == [256, 256, 256, 32]  # whole coarse elements of 64 children
+    assert sizes(p4, assembly.BATCH_ENTRIES) == [1] * 800  # at least one element
 
 
 @pytest.mark.parametrize("batch", [1, 7, 100])
@@ -449,8 +482,10 @@ def test_operators_do_not_depend_on_the_element_batch(batch, brauer_law, monkeyp
     problem = _problem(brauer_law, n=6, order=2)
     coeffs = _random_coeffs(problem, scale=0.1, seed=12)
     whole = [assemble_hessian(problem, coeffs), assemble_unit_stiffness(problem)]
-    assert problem.mesh.num_triangles <= assembly.ELEMENT_BATCH
-    monkeypatch.setattr(assembly, "ELEMENT_BATCH", batch)
+    nq, ne = len(problem.rule), problem.mesh.num_triangles
+    assert len(assembly.element_batches(problem.space, nq)) == 1
+    set_element_batch(monkeypatch, problem.space, nq, batch)
+    assert len(assembly.element_batches(problem.space, nq)) == -(-ne // batch)
     batched = [assemble_hessian(problem, coeffs), assemble_unit_stiffness(problem)]
     for a, b in zip(whole, batched):
         assert a.data.tobytes() == b.data.tobytes()
@@ -468,7 +503,7 @@ def test_residual_scale_matches_the_absolute_assembly(brauer_law):
 
 def test_residual_scale_over_several_batches_matches_the_whole_array_formula(brauer_law):
     problem = _problem(brauer_law, n=33, order=1, js=lambda x: np.full(len(x), 1e5))
-    assert problem.mesh.num_triangles > assembly.ELEMENT_BATCH
+    assert len(assembly.element_batches(problem.space, len(problem.rule))) > 1
     coeffs = _random_coeffs(problem, scale=1e-3, seed=14)
     b = assembly.curl_at_quadrature(problem, coeffs)
     h = np.abs(assembly._material_apply(problem, "dw", b))

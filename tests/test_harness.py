@@ -20,7 +20,9 @@ from magfem.harness import (
     write_study_csv,
 )
 
-from conftest import annulus_direct_benchmark, interpolate, max_flux_magnitude, traced_transient
+from conftest import (
+    annulus_direct_benchmark, interpolate, max_flux_magnitude, set_element_batch, traced_transient,
+)
 
 
 # -- EOC -----------------------------------------------------------------------
@@ -293,7 +295,8 @@ def test_refinement_errors_tabulate_the_fine_level_once(monkeypatch):
     fine_p, fine_c, _ = harness.solve_level(bench, 1, cfg, 2)
     rule = harness._error_rule(2)
     ne = fine_p.mesh.num_triangles
-    assert ne > assembly.ELEMENT_BATCH  # several batches, the last one ragged
+    batch = assembly.BATCH_ENTRIES // (fine_p.space.n_local * len(rule))  # elements a batch
+    assert ne > batch and ne % batch  # several batches, the last one ragged
 
     curls, points = [], []
     tabulate, mapped = femspace.tabulate_curl, assembly.mapped_points
@@ -309,7 +312,7 @@ def test_refinement_errors_tabulate_the_fine_level_once(monkeypatch):
     got = harness._refinement_errors(coarse_p, coarse_c, fine_p, fine_c, rule)
     monkeypatch.undo()
     for calls in (curls, points):
-        assert len(calls) == -(-ne // assembly.ELEMENT_BATCH)
+        assert len(calls) == -(-ne // batch)
         assert [e for batch in calls for e in batch] == list(range(ne))
 
     P = multigrid.prolongation(fine_p.space, coarse_p.space)
@@ -338,13 +341,12 @@ def _batch_benchmarks():
                                   "successive-degree", "mapped"])
 def test_study_rows_do_not_depend_on_the_element_batch(case, monkeypatch):
     # no built-in benchmark uses successive-degree, so pm_toy is rebuilt with it
-    from magfem import assembly
-
     bench = _batch_benchmarks()[case]
     rows = run_study(bench, order=1, levels=2)
-    largest = max(harness.mesh_at_level(bench, 2).num_triangles, assembly.ELEMENT_BATCH)
-    for batch in (7, largest):  # a ragged last batch; one batch per level
-        monkeypatch.setattr(assembly, "ELEMENT_BATCH", batch)
+    largest = harness.mesh_at_level(bench, 2).num_triangles
+    p3 = mf.build_space(bench.base_mesh, 3)  # the largest table: P3 on the degree error rule
+    for batch in (7, largest):  # about 7 elements, a ragged last batch; one batch per level
+        set_element_batch(monkeypatch, p3, len(harness._error_rule(2)), batch)
         assert run_study(bench, order=1, levels=2) == rows
 
 
@@ -363,6 +365,25 @@ def test_refinement_error_transient_stays_within_budget():
         harness._refinement_errors, *coarse[:2], *fine[:2], harness._error_rule(1)
     )
     assert rise <= REFINEMENT_ERROR_BUDGET_MIB * 2**20
+
+
+#: Largest traced rise of the manufactured k = 3 level-3 exact errors (P4,
+#: 2,048 elements, the 16-point error rule), in MiB. As one 2,048-element
+#: batch they rose 13.1 MiB; in batches of BATCH_ENTRIES curl-table entries,
+#: 2.3 MiB.
+MANUFACTURED_ERROR_BUDGET_MIB = 6.0
+
+
+def test_manufactured_error_transient_stays_within_budget():
+    bench = manufactured_benchmark()
+    problem = harness.problem_at_level(bench, 3, order=3)
+    coeffs = mf.CoefficientVector(
+        problem.space, np.random.default_rng(4).normal(scale=1e-3, size=problem.space.n_free)
+    )
+    _, rise = traced_transient(
+        harness._manufactured_errors, bench, problem, coeffs, harness._error_rule(3)
+    )
+    assert rise <= MANUFACTURED_ERROR_BUDGET_MIB * 2**20
 
 
 def test_study_abort_carries_partial_rows():

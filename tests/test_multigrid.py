@@ -14,7 +14,7 @@ import magfem as mf
 from magfem import assembly, harness, multigrid, solver
 from magfem.femspace import CoefficientVector, build_space
 
-from conftest import direct_newton_solve, galerkin_oracle, interpolate
+from conftest import direct_newton_solve, galerkin_oracle, interpolate, set_element_batch
 
 PROLONGATION_TOL = 1e-12      # relative, max-norm
 SYMMETRY_TOL = 1e-12          # relative to the largest preconditioner entry
@@ -432,7 +432,7 @@ def _galerkin_case(case):
         return harness.problem_at_level(harness.manufactured_benchmark(), 3, order=3)
     if case == "parsed":  # no parent: the P2 -> P1 step alone
         return _parsed_square_problem(16)
-    mesh = mf.generate_unit_square(1)  # six refinements: 4^6 > ELEMENT_BATCH children each
+    mesh = mf.generate_unit_square(1)  # six refinements: 4^6 children each, over one batch
     for _ in range(6):
         mesh = mf.refine_uniform(mesh)
     return assembly.Problem(
@@ -449,7 +449,8 @@ def test_element_built_operators_match_the_sparse_product(case, state):
     children = [len(level.tables) for level in levels]
     if case == "deep":
         assert problem.mesh.num_triangles == 8192
-        assert 4**6 > assembly.ELEMENT_BATCH and children == [4] * 6 + [1]
+        per_batch = assembly.BATCH_ENTRIES // (problem.space.n_local * len(problem.rule))
+        assert 4**6 > per_batch and children == [4] * 6 + [1]
     if case == "parsed":
         assert children == [1]
     coeffs = mf.zero_coefficients(problem.space)
@@ -466,22 +467,33 @@ def test_element_built_operators_match_the_sparse_product(case, state):
         assert np.abs((got - want).data).max(initial=0.0) <= GALERKIN_TOL * largest
 
 
-@pytest.mark.parametrize("batch", [1, 7, 100])
+@pytest.mark.parametrize("batch", [1, 7, 100, None])  # elements a batch; None: BATCH_ENTRIES's
 def test_coarse_operators_do_not_depend_on_the_element_batch(batch, monkeypatch):
-    mesh = mf.refine_uniform(mf.refine_uniform(mf.generate_unit_square(4)))
-    problem = assembly.Problem(
-        mesh=mesh, order=2, materials={1: mf.brauer_reference()}, dirichlet_tags=frozenset({1}),
-    )
-    levels = multigrid.hierarchy(problem.space)
-    coeffs = CoefficientVector(
-        problem.space, np.random.default_rng(3).normal(scale=0.1, size=problem.space.n_free)
-    )
-    whole = assembly.assemble_hessian(problem, coeffs, levels)
-    assert problem.mesh.num_triangles <= assembly.ELEMENT_BATCH
-    monkeypatch.setattr(assembly, "ELEMENT_BATCH", batch)  # rounded up to 16 fine elements
-    batched = assembly.assemble_hessian(problem, coeffs, levels)
-    for a, b in zip(whole, batched):
-        assert a.data.tobytes() == b.data.tobytes()
+    # P3 over two refinements (16 fine elements per coarsest one) and P4 over
+    # three (64, as in manufactured k = 3); batches round up to these
+    for base_n, refinements, order in [(4, 2, 2), (2, 3, 3)]:
+        mesh = mf.generate_unit_square(base_n)
+        for _ in range(refinements):
+            mesh = mf.refine_uniform(mesh)
+        problem = assembly.Problem(
+            mesh=mesh, order=order, materials={1: mf.brauer_reference()},
+            dirichlet_tags=frozenset({1}),
+        )
+        levels = multigrid.hierarchy(problem.space)
+        coeffs = CoefficientVector(
+            problem.space, np.random.default_rng(3).normal(scale=0.1, size=problem.space.n_free)
+        )
+        ne, nq = problem.mesh.num_triangles, len(problem.rule)
+        set_element_batch(monkeypatch, problem.space, nq, ne)
+        assert len(assembly.element_batches(problem.space, nq)) == 1
+        whole = assembly.assemble_hessian(problem, coeffs, levels)
+        monkeypatch.undo()
+        if batch is not None:
+            set_element_batch(monkeypatch, problem.space, nq, batch)
+        batched = assembly.assemble_hessian(problem, coeffs, levels)
+        monkeypatch.undo()
+        for a, b in zip(whole, batched):
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_newton_runs_the_sparse_galerkin_product_only_on_aggregation_levels(monkeypatch):

@@ -18,6 +18,8 @@ from magfem import assembly, cli, harness
 from magfem.femspace import CoefficientVector, zero_coefficients
 from magfem.mesh import Mesh, MeshError, MeshParseError, meshes_equal
 
+from conftest import set_element_batch
+
 
 def old_serialize_mesh(mesh):
     """Mesh to the line-oriented ASCII format (1-based, round-trip exact)."""
@@ -378,9 +380,10 @@ def _linear_square_problem(n):
     )
 
 
-@pytest.mark.parametrize("chunk", [1, 7, cli._FIELDS_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 1024])  # elements a batch
 def test_fields_csv_byte_identical(tmp_path, monkeypatch, small_brauer_problem, chunk):
-    monkeypatch.setattr(cli, "_FIELDS_CHUNK", chunk)
+    space, nq = small_brauer_problem.space, len(small_brauer_problem.rule)
+    set_element_batch(monkeypatch, space, nq, chunk)
     coeffs, _ = mf.newton_solve(small_brauer_problem)
     for problem, c in [
         (small_brauer_problem, coeffs),
@@ -392,8 +395,8 @@ def test_fields_csv_byte_identical(tmp_path, monkeypatch, small_brauer_problem, 
 
 
 def test_fields_csv_byte_identical_across_a_chunk_boundary(tmp_path):
-    problem = _linear_square_problem(24)  # 1,152 elements: one full chunk and a partial one
-    assert problem.mesh.num_triangles > cli._FIELDS_CHUNK
+    problem = _linear_square_problem(24)  # 1,152 elements: one full batch and a partial one
+    assert len(assembly.element_batches(problem.space, len(problem.rule))) == 2
     rng = np.random.default_rng(5)
     coeffs = CoefficientVector(problem.space, rng.standard_normal(problem.space.n_free))
     cli._write_fields_csv(problem, coeffs, tmp_path / "new.csv")

@@ -2,7 +2,7 @@
 
     python3 tools/memory_profile.py [--src path/to/src]
 
-Runs three solves and one study in-process under ``tracemalloc``, which
+Runs three solves and two studies in-process under ``tracemalloc``, which
 also traces numpy's array buffers:
 
 * ``cli_io``: ``magfem solve --fields`` on the 32,768-triangle file mesh of
@@ -15,7 +15,10 @@ also traces numpy's array buffers:
   k = 3; the refinements of both run before tracing starts;
 * ``pm_toy_study``: ``run_study(pm_toy_benchmark(), order=1, levels=2)``,
   perfbench's pm_toy_k1 operation: three level solves, two of them at
-  once, then the errors of each level pair.
+  once, then the errors of each level pair;
+* ``manufactured_study``: ``run_study(manufactured_benchmark(), order=3,
+  levels=4)``, perfbench's manufactured_k3 operation: four P4 level
+  solves, then each level's errors against the exact solution.
 
 Every phase listed in ``PHASES`` is wrapped wherever a magfem module holds
 it. For each phase the report gives the number of calls, its largest
@@ -229,11 +232,11 @@ def finest_level(factory, level, order):
     return run
 
 
-def pm_toy_study():
+def study(factory, order, levels):
     from magfem import harness
 
-    benchmark = harness.pm_toy_benchmark()
-    return lambda: harness.run_study(benchmark, order=1, levels=2)
+    benchmark = getattr(harness, factory)()
+    return lambda: harness.run_study(benchmark, order=order, levels=levels)
 
 
 def main(argv=None):
@@ -251,7 +254,8 @@ def main(argv=None):
         out["cli_io"] = profile(cli_io(workdir))
     out["pm_toy"] = profile(finest_level("pm_toy_benchmark", 2, 1))
     out["manufactured"] = profile(finest_level("manufactured_benchmark", 3, 3))
-    out["pm_toy_study"] = profile(pm_toy_study())
+    out["pm_toy_study"] = profile(study("pm_toy_benchmark", 1, 2))
+    out["manufactured_study"] = profile(study("manufactured_benchmark", 3, 4))
     print(json.dumps(out, indent=2))
 
 
