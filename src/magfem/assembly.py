@@ -133,11 +133,17 @@ class Problem:
             f"source={source})"
         )
 
+    @property
+    def linear(self):
+        """Whether every region's law is linear, so one exact Newton step solves it."""
+        return all(self.materials[tag].linear for tag in self.region_rows)
+
     def describe(self):
-        """The size, degrees and region tags that reports carry."""
+        """The size, degrees, region tags and linearity that reports carry."""
         return {
             "ne": self.mesh.num_triangles, "n_free": self.space.n_free, "order": self.order,
             "quad_degree": self.rule.degree, "regions": list(self.region_rows),
+            "linear": self.linear,
         }
 
     def certified_bounds(self):

@@ -47,9 +47,12 @@ class MaterialLaw:
 
     `x` is the evaluation point batch (same shape as b); spatially
     homogeneous laws ignore it. Laws are immutable value objects and all
-    evaluations are pure.
+    evaluations are pure. `linear` marks a law whose energy density is
+    quadratic in b, so one exact Newton step solves a problem made of such
+    laws alone.
     """
 
+    linear = False
     gamma = None
     lipschitz = None
     hess_lipschitz = None
@@ -70,6 +73,8 @@ class LinearLaw(MaterialLaw):
     `reluctivity` is a positive nu (N = nu I) or a symmetric positive definite
     2x2 matrix N (m/H); `magnetization` is a permanent magnet's fixed m (A/m).
     """
+
+    linear = True
 
     def __init__(self, reluctivity, magnetization=(0.0, 0.0)):
         N = np.array(reluctivity, dtype=float)

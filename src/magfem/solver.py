@@ -17,12 +17,16 @@ Zhang build their approximate Wolfe test on that estimate (SIAM J. Optim.
 16, 2005); it is exact for a quadratic energy, and the passed test bounds
 it by W + sigma tau slope < W, so recorded energies never rise.
 
-The Newton steps are inexact. The first inner solve runs to
-`cfg.cg.rel_tol`; step k > 0 runs to the forcing term
+The Newton steps are inexact. Step k > 0 runs to the forcing term
 eta_k = max(cfg.cg.rel_tol, min(FORCING_MAX, ||r_k|| / ||r_0||)),
 loose far from the solution and of order ||r_k|| near it, which keeps
 the local quadratic rate (Dembo-Eisenstat-Steihaug, SIAM J. Numer. Anal.
-19, 1982). A linear law still converges in one step.
+19, 1982). The first step of a nonlinear problem lies in the global
+phase, where any eta < 1 keeps global convergence (Eisenstat-Walker,
+SIAM J. Sci. Comput. 17, 1996), so its inner solve runs to
+eta_0 = max(cfg.cg.rel_tol, FORCING_FIRST). A problem whose laws are all
+linear (`Problem.linear`) solves its first step to `cfg.cg.rel_tol` and
+still converges in one step.
 
 With certified convexity bounds (gamma, L) the report also carries the
 step-size floor tau* = 2 rho (1-sigma) gamma/L and the contraction factor
@@ -310,6 +314,10 @@ ENERGY_ROUNDING = 64.0 * np.finfo(float).eps
 #: Largest forcing term: no inner solve after the first is looser than this.
 FORCING_MAX = 0.1
 
+#: Forcing term of a nonlinear problem's first inner solve, which lies in
+#: the global phase; an all-linear problem solves its one step to cg.rel_tol.
+FORCING_FIRST = 1e-2
+
 
 def _approximate_wolfe(problem, trial, delta, slope, sigma):
     """Hager-Zhang's approximate Armijo test on the exact directional derivative.
@@ -330,7 +338,10 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
 
     Stops once the curl norm of the Newton increment or the Euclidean
     residual norm falls below its tolerance (both relative to the first
-    iteration). The backtracking grid starts at tau = 1. Where the decrease
+    iteration). Each inner solve runs to its forcing term (module
+    docstring): the first to FORCING_FIRST, or to cfg.cg.rel_tol when
+    `problem.linear`, the later ones of order ||r_k||. The backtracking
+    grid starts at tau = 1. Where the decrease
     the Armijo test demands is below the energy's rounding level, a trial
     that fails it is still accepted when the exact directional derivative
     passes the approximate Wolfe test (Hager-Zhang, SIAM J. Optim. 16,
@@ -390,10 +401,13 @@ def newton_solve(problem, a0=None, cfg=NewtonConfig(), history=None):
             break
 
         hess, *coarse = assembly.assemble_hessian(problem, CoefficientVector(space, vec), levels)
-        # forcing term: the first solve is exact, later ones of order ||r_k||
-        eta = cfg.cg.rel_tol
+        # forcing term: the first solve is loose unless one exact step solves
+        # the problem, later ones are of order ||r_k||
         if n > 0:
-            eta = max(eta, min(FORCING_MAX, res_norm / res_ref))
+            eta = min(FORCING_MAX, res_norm / res_ref)
+        else:
+            eta = cfg.cg.rel_tol if problem.linear else FORCING_FIRST
+        eta = max(cfg.cg.rel_tol, eta)
         rhs = -res
         if singular:  # the rounding along the kernel would send CG into it
             rhs -= rhs.mean()

@@ -446,6 +446,8 @@ def shape_regularity(mesh):
 class SpatialLinearLaw(MaterialLaw):
     """w = 1/2 <N(x) b, b> with a point-dependent SPD matrix field."""
 
+    linear = True
+
     def __init__(self, matrix_fn, gamma=None, lipschitz=None):
         self.matrix_fn = matrix_fn
         self.gamma = gamma
